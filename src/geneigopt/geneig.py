@@ -32,10 +32,6 @@ from .errors import (
 )
 from .symmat import DEFAULT_TOL, TolerancePolicy, as_symmetric
 
-#: Doubling cap for the bisection in lambda_min_ext; exceeding it is
-#: reported as +inf.
-ALPHA_CAP = 1e12
-
 
 class Certificate(enum.Enum):
     """Which branch of the extended definition produced the value."""
@@ -61,58 +57,78 @@ class AffinePencil:
 
     Coefficient matrices must be PSD (element stiffness and mass matrices
     are); the constant term is unrestricted so that shifted pencils used in
-    bisection can reuse the evaluation path.
+    bisection can reuse the evaluation path.  ``coeffs`` is the
+    ``(nvars, n, n)`` stack, or None when every coefficient is zero.
     """
 
-    __slots__ = ("constant", "coeffs")
+    __slots__ = ("constant", "coeffs", "nvars")
 
     def __init__(self, constant, coefficients, *, check_psd=True,
                  tol: TolerancePolicy = DEFAULT_TOL):
         a0 = as_symmetric(constant)
-        coeffs = np.stack([as_symmetric(c) for c in coefficients]) \
-            if len(coefficients) else np.zeros((0, a0.shape[0], a0.shape[0]))
-        if coeffs.shape[1:] != a0.shape:
-            raise ValueError("pencil matrices must share one dimension")
-        if check_psd:
-            for j in range(coeffs.shape[0]):
-                if not symmat.is_psd(coeffs[j], tol):
-                    raise NotPositiveSemidefinite(
-                        f"pencil coefficient {j} is not PSD")
+        coeffs = None
+        if len(coefficients):
+            coeffs = np.stack([as_symmetric(c) for c in coefficients])
+            if coeffs.shape[1:] != a0.shape:
+                raise ValueError("pencil matrices must share one dimension")
+            if check_psd:
+                for j in range(coeffs.shape[0]):
+                    if not symmat.is_psd(coeffs[j], tol):
+                        raise NotPositiveSemidefinite(
+                            f"pencil coefficient {j} is not PSD")
         self.constant = a0
         self.coeffs = coeffs
+        self.nvars = 0 if coeffs is None else coeffs.shape[0]
 
     @property
     def dim(self) -> int:
         return self.constant.shape[0]
 
-    @property
-    def nvars(self) -> int:
-        return self.coeffs.shape[0]
-
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.nvars == 0:
+        if self.coeffs is None:
             return self.constant.copy()
+        x = np.asarray(x, dtype=float)
         return self.constant + np.tensordot(x, self.coeffs, axes=1)
+
+    def quad(self, v: np.ndarray) -> np.ndarray:
+        """Quadratic forms of the coefficients: entry (j, i) is v_i' A_j v_i.
+
+        ``v`` is one vector (result of shape ``(nvars,)``) or a block of
+        column vectors (result of shape ``(nvars, k)``).
+        """
+        if self.coeffs is None:
+            return np.zeros((self.nvars,) + v.shape[1:])
+        if v.ndim == 1:
+            return np.einsum("j,mjk,k->m", v, self.coeffs, v)
+        # one BLAS product for the whole block, then the column dots
+        return np.einsum("jn,mjn->mn", v, self.coeffs @ v)
 
     @staticmethod
     def constant_pencil(matrix, nvars: int) -> "AffinePencil":
         """Pencil with zero coefficients, e.g. the QQ' term of robust compliance."""
-        a0 = as_symmetric(matrix)
-        n = a0.shape[0]
-        return AffinePencil(a0, np.zeros((nvars, n, n)), check_psd=False)
+        pencil = AffinePencil(matrix, [])
+        pencil.nvars = nvars
+        return pencil
 
 
-def _require_psd_pair(x, y, tol: TolerancePolicy):
+def _require_psd_pair(x, y, tol: TolerancePolicy, *, split: bool = False):
+    """Symmetric X and Y of one shape, both checked PSD; returns (X, Y, split).
+
+    With ``split``, Y is checked by its ``symmat.psd_split``, returned for
+    the caller's kernel and range queries; otherwise, like X, by its
+    eigenvalues only, which is cheaper, and the split is None.
+    """
     a = as_symmetric(x)
     b = as_symmetric(y)
     if a.shape != b.shape:
         raise ValueError("matrix pair must share one dimension")
     if not symmat.is_psd(a, tol):
         raise NotPositiveSemidefinite("first matrix is not PSD")
-    if not symmat.is_psd(b, tol):
+    b_split = symmat.psd_split(b, tol) if split else None
+    b_psd = b_split.is_psd if split else symmat.is_psd(b, tol)
+    if not b_psd:
         raise NotPositiveSemidefinite("second matrix is not PSD")
-    return a, b
+    return a, b, b_split
 
 
 def _is_zero(a: np.ndarray, tol: TolerancePolicy) -> bool:
@@ -126,19 +142,19 @@ def lambda_max_ext(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> GenEigResult:
     outside the kernel of X, and otherwise the top eigenvalue of the pencil
     reduced to the orthogonal complement of ker Y.
     """
-    a, b = _require_psd_pair(x, y, tol)
+    a, b, b_split = _require_psd_pair(x, y, tol, split=True)
     if _is_zero(b, tol):
         if _is_zero(a, tol):
             return GenEigResult(0.0, None, Certificate.ZERO_ZERO)
         return GenEigResult(math.inf, None, Certificate.KERNEL_ESCAPE)
 
-    kernel = symmat.kernel_basis(b, tol)
+    kernel = symmat.kernel_basis(b_split)
     if kernel.shape[1]:
         escape = np.linalg.norm(a @ kernel, axis=0)
         if np.any(escape > tol.kernel_tol * (1.0 + float(np.max(np.abs(a))))):
             return GenEigResult(math.inf, None, Certificate.KERNEL_ESCAPE)
 
-    v_range = symmat.range_basis(b, tol)
+    v_range = symmat.range_basis(b_split)
     a_red = v_range.T @ a @ v_range
     b_red = v_range.T @ b @ v_range
     w, vecs = scipy.linalg.eigh(0.5 * (a_red + a_red.T), 0.5 * (b_red + b_red.T))
@@ -154,12 +170,12 @@ def lambda_min_ext(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     quotient v'Xv / v'Yv over v outside ker Y, where the minimization over
     the ker-Y component of v replaces the X block by its Schur complement.
     """
-    a, b = _require_psd_pair(x, y, tol)
+    a, b, b_split = _require_psd_pair(x, y, tol, split=True)
     if _is_zero(b, tol):
         return math.inf
 
-    r = symmat.range_basis(b, tol)
-    u = symmat.kernel_basis(b, tol)
+    r = symmat.range_basis(b_split)
+    u = symmat.kernel_basis(b_split)
     a_rr = r.T @ a @ r
     if u.shape[1]:
         a_ru = r.T @ a @ u
@@ -179,7 +195,7 @@ def lambda_max_eps(x, y, eps: float,
     """Top eigenvalue of the regularized definite pencil (X, Y + eps*I)."""
     if eps <= 0:
         raise InvalidEpsilon(f"eps must be positive, got {eps}")
-    a, b = _require_psd_pair(x, y, tol)
+    a, b, _ = _require_psd_pair(x, y, tol)
     b_reg = b + eps * np.eye(b.shape[0])
     w, vecs = scipy.linalg.eigh(a, b_reg)
     value = max(float(w[-1]), 0.0)
@@ -194,7 +210,7 @@ def rayleigh_sup_oracle(x, y, samples: int, seed: int,
     kernel of Y, and returns the best quotient seen.  Deterministic given the
     seed, and always at most the exact extended value.
     """
-    a, b = _require_psd_pair(x, y, tol)
+    a, b, _ = _require_psd_pair(x, y, tol)
     if _is_zero(b, tol):
         raise DegeneratePair("denominator matrix is zero")
     rng = np.random.default_rng(seed)
@@ -223,9 +239,7 @@ def _pencil_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float):
     w, vecs = scipy.linalg.eigh(a, b)
     value = max(float(w[-1]), 0.0)
     v = vecs[:, -1]
-    quad_a = np.einsum("j,mjk,k->m", v, pa.coeffs, v) if pa.nvars else np.zeros(0)
-    quad_b = np.einsum("j,mjk,k->m", v, pb.coeffs, v) if pb.nvars else np.zeros(0)
-    grad = quad_a - value * quad_b
+    grad = pa.quad(v) - value * pb.quad(v)
     return value, grad, v
 
 
@@ -275,9 +289,5 @@ def _smoothed_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float,
     total = float(np.sum(expz))
     value = mu * (zmax + math.log(total))
     sigma = expz / total
-    quad_a = np.einsum("jn,mjk,kn->mn", vecs, pa.coeffs, vecs) \
-        if pa.nvars else np.zeros((0, len(w)))
-    quad_b = np.einsum("jn,mjk,kn->mn", vecs, pb.coeffs, vecs) \
-        if pb.nvars else np.zeros((0, len(w)))
-    grad = (quad_a - quad_b * w[np.newaxis, :]) @ sigma
+    grad = (pa.quad(vecs) - pb.quad(vecs) * w[np.newaxis, :]) @ sigma
     return value, grad

@@ -344,14 +344,16 @@ def bisection_global(spec: ProblemSpec, alpha_lo: float = 0.0,
         warm_obj = warm.obj_final
     x_start = project_feasible(np.asarray(x0, dtype=float), fs)
 
-    scale_a = float(np.max(np.abs(pa.constant))) + (
-        float(np.max(np.abs(pa.coeffs))) if pa.nvars else 0.0)
-    scale_b = float(np.max(np.abs(b0))) + (
-        float(np.max(np.abs(pb.coeffs))) if pb.nvars else 0.0)
+    # a constant pencil (the robust QQ' numerator) stores no coefficients
+    a_coeffs = 0.0 if pa.coeffs is None else pa.coeffs
+    b_coeffs = 0.0 if pb.coeffs is None else pb.coeffs
+    scale_a = float(np.max(np.abs(pa.constant))) + \
+        float(np.max(np.abs(a_coeffs)))
+    scale_b = float(np.max(np.abs(b0))) + float(np.max(np.abs(b_coeffs)))
 
     def feasible(alpha, x_from):
         c0 = pa.constant - alpha * b0
-        c_coeffs = pa.coeffs - alpha * pb.coeffs
+        c_coeffs = a_coeffs - alpha * b_coeffs
         # an unbounded objective shows up as a margin that ignores alpha;
         # the doubling loop aborts on that before the slack can grow enough
         # to absorb it

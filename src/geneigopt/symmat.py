@@ -2,7 +2,10 @@
 
 Spectral decompositions, tolerance-based positive-semidefiniteness tests and
 kernel bases.  Everything here is a pure function of its inputs; matrices are
-small and dense, so a single full eigendecomposition serves all queries.
+small and dense, so a single full eigendecomposition serves all queries:
+``psd_split`` gives the PSD verdict, the kernel basis and the range basis from
+one ``eigh``, and ``kernel_basis``/``range_basis`` accept its result in place
+of the matrix.  ``is_psd`` alone needs only the eigenvalues.
 """
 
 from __future__ import annotations
@@ -98,28 +101,52 @@ def is_psd(x, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
     return lam_min >= -tol.psd_tol * scale
 
 
+@dataclass(frozen=True)
+class PsdSplit:
+    """PSD verdict plus orthonormal kernel and range bases of one matrix."""
+
+    is_psd: bool
+    kernel: np.ndarray
+    range: np.ndarray
+
+
+def psd_split(x, tol: TolerancePolicy = DEFAULT_TOL) -> PsdSplit:
+    """PSD verdict, kernel basis and range basis from one eigendecomposition.
+
+    The thresholds are those of ``is_psd`` and ``kernel_basis``, both scaled
+    by ``1 + max|entry|``.  A ``PsdSplit`` passed in is returned as is.
+    """
+    if isinstance(x, PsdSplit):
+        return x
+    a = as_symmetric(x)
+    _check_finite(a)
+    w, v = np.linalg.eigh(a)
+    scale = 1.0 + float(np.max(np.abs(a)))
+    in_kernel = w <= tol.kernel_tol * scale
+    return PsdSplit(is_psd=bool(w[0] >= -tol.psd_tol * scale),
+                    kernel=v[:, in_kernel], range=v[:, ~in_kernel])
+
+
+def _require_psd_split(x, tol: TolerancePolicy, caller: str) -> PsdSplit:
+    split = psd_split(x, tol)
+    if not split.is_psd:
+        raise NotPositiveSemidefinite(f"{caller} requires a PSD matrix")
+    return split
+
+
 def kernel_basis(x, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the (numerical) kernel of a PSD matrix.
 
     Returns an ``n x k`` array whose columns span the eigenspace with
     eigenvalues below ``kernel_tol * (1 + max|entry|)``; ``k = 0`` for a
-    positive definite matrix.
+    positive definite matrix.  ``x`` is the matrix or its ``psd_split``.
     """
-    a = as_symmetric(x)
-    _check_finite(a)
-    if not is_psd(a, tol):
-        raise NotPositiveSemidefinite("kernel_basis requires a PSD matrix")
-    w, v = np.linalg.eigh(a)
-    cutoff = tol.kernel_tol * (1.0 + float(np.max(np.abs(a))))
-    return v[:, w <= cutoff]
+    return _require_psd_split(x, tol, "kernel_basis").kernel
 
 
 def range_basis(x, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the kernel."""
-    a = as_symmetric(x)
-    _check_finite(a)
-    if not is_psd(a, tol):
-        raise NotPositiveSemidefinite("range_basis requires a PSD matrix")
-    w, v = np.linalg.eigh(a)
-    cutoff = tol.kernel_tol * (1.0 + float(np.max(np.abs(a))))
-    return v[:, w > cutoff]
+    """Orthonormal basis of the orthogonal complement of the kernel.
+
+    ``x`` is the matrix or its ``psd_split``.
+    """
+    return _require_psd_split(x, tol, "range_basis").range

@@ -229,7 +229,7 @@ def build_model(gs: GroundStructure, mat: Material, load_node: int,
     )
 
 
-def uniform_feasible_design(model, v0: float, equality: bool = True) -> np.ndarray:
+def uniform_feasible_design(model, v0: float) -> np.ndarray:
     """Uniform cross-sectional areas using the whole volume budget."""
     if v0 <= 0:
         raise ValueError("volume budget must be positive")

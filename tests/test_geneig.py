@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from geneigopt import geneig, verify
 from geneigopt.errors import (
@@ -63,6 +64,36 @@ def test_lambda_max_rejects_indefinite():
         lambda_max_ext([[1.0, 2.0], [2.0, 1.0]], np.eye(2))
     with pytest.raises(NotPositiveSemidefinite):
         lambda_max_ext(np.eye(2), [[1.0, 2.0], [2.0, 1.0]])
+
+
+def count_decompositions(monkeypatch, y):
+    """Patch the eigensolvers; returns [all calls, calls on exactly y]."""
+    counts = [0, 0]
+
+    def counting(fn):
+        def wrapped(a, *args, **kwargs):
+            counts[0] += 1
+            counts[1] += np.shape(a) == y.shape and np.array_equal(a, y)
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for owner, name in [(np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                        (scipy.linalg, "eigh")]:
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
+    return counts
+
+
+@pytest.mark.parametrize("fn", [lambda_max_ext, lambda_min_ext])
+def test_extended_values_decompose_y_once(monkeypatch, fn):
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    y = (q[:, :4] * [1.0, 2.0, 3.0, 4.0]) @ q[:, :4].T
+    y = 0.5 * (y + y.T)
+    x = (q[:, :4] * [0.5, 1.0, 0.0, 2.0]) @ q[:, :4].T
+    counts = count_decompositions(monkeypatch, y)
+    fn(x, y)
+    # an eigenvalue-only PSD check of X, one eigh of Y, the reduced solve
+    assert counts == [3, 1]
 
 
 def test_lambda_max_matches_membership_oracle():
@@ -220,6 +251,25 @@ def test_constant_pencil_has_zero_gradient_terms():
     assert np.allclose(p([1.0, 2.0, 3.0, 4.0, 5.0]), np.eye(3))
 
 
+def test_constant_pencil_matches_dense_zero_coefficients():
+    rng = np.random.default_rng(41)
+    m, n = 7, 5
+    q = rng.standard_normal((n, 1))
+    b = AffinePencil(np.zeros((n, n)),
+                     [np.outer(g, g) for g in rng.standard_normal((m, n))])
+    const = AffinePencil.constant_pencil(q @ q.T, m)
+    dense = AffinePencil(q @ q.T, np.zeros((m, n, n)), check_psd=False)
+    for _ in range(5):
+        x = rng.uniform(0.1, 2.0, m)
+        got = composite_value_grad(const, b, x, 1e-3)
+        want = composite_value_grad(dense, b, x, 1e-3)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert const.nvars == m and const.coeffs is None
+    held = [getattr(const, s) for s in AffinePencil.__slots__]
+    assert all(np.size(h) < m * n * n for h in held
+               if isinstance(h, np.ndarray))
+
+
 def test_composite_value_grad_closed_form():
     a, b = two_bar_pencils()
     value, grad, vec = composite_value_grad(a, b, [1.0, 1.0], 0.2)
@@ -319,6 +369,29 @@ def test_smoothed_grad_matches_finite_differences():
         fd[j] = (smoothed_value_grad(a, b, x + e, 0.2, 0.05)[0]
                  - smoothed_value_grad(a, b, x - e, 0.2, 0.05)[0]) / (2 * h)
     assert np.max(np.abs(fd - grad)) < 1e-6
+
+
+def test_smoothed_grad_matches_three_operand_oracle():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(2, 9))
+        mass = rng.standard_normal((n, n))
+        a = AffinePencil(mass @ mass.T,
+                         [np.diag(d) for d in rng.uniform(0, 1, (m, n))])
+        b = AffinePencil(np.zeros((n, n)),
+                         [np.outer(g, g) for g in rng.standard_normal((m, n))])
+        x = rng.uniform(0.1, 2.0, m)
+        eps, mu = 1e-2, float(rng.uniform(0.01, 1.0))
+        _, grad = smoothed_value_grad(a, b, x, eps, mu)
+
+        w, vecs = scipy.linalg.eigh(a(x), b(x) + eps * np.eye(n))
+        sigma = np.exp((w - w.max()) / mu)
+        sigma /= sigma.sum()
+        quad_a = np.einsum("jn,mjk,kn->mn", vecs, a.coeffs, vecs)
+        quad_b = np.einsum("jn,mjk,kn->mn", vecs, b.coeffs, vecs)
+        oracle = (quad_a - quad_b * w) @ sigma
+        assert np.linalg.norm(grad - oracle) <= \
+            1e-12 * np.linalg.norm(oracle)
 
 
 def test_smoothed_requires_positive_mu():

@@ -13,6 +13,7 @@ from geneigopt.symmat import (
     eig_sym,
     is_psd,
     kernel_basis,
+    psd_split,
     range_basis,
 )
 
@@ -90,6 +91,10 @@ def test_kernel_basis_examples():
 def test_kernel_basis_requires_psd():
     with pytest.raises(NotPositiveSemidefinite):
         kernel_basis([[1.0, 2.0], [2.0, 1.0]])
+    split = psd_split([[1.0, 2.0], [2.0, 1.0]])
+    assert not split.is_psd
+    with pytest.raises(NotPositiveSemidefinite):
+        range_basis(split)
 
 
 def test_range_plus_kernel_span_everything():
@@ -104,6 +109,13 @@ def test_range_plus_kernel_span_everything():
         ker = kernel_basis(a, DEFAULT_TOL)
         ran = range_basis(a, DEFAULT_TOL)
         assert ker.shape[1] + ran.shape[1] == dim
+        # one split answers the same queries, and the bases take it as input
+        split = psd_split(a, DEFAULT_TOL)
+        assert split.is_psd
+        assert np.array_equal(split.kernel, ker)
+        assert np.array_equal(split.range, ran)
+        assert kernel_basis(split) is split.kernel
+        assert range_basis(split) is split.range
         # A annihilates its kernel and is definite on its range
         if ker.shape[1]:
             assert np.max(np.abs(a @ ker)) < 1e-7
