@@ -23,7 +23,6 @@ import os
 import sys
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import asdict
 
 import jsonschema
 import numpy as np
@@ -194,12 +193,19 @@ def build_from_config(cfg: dict):
     else:
         nodes = np.asarray(cfg["nodes"], dtype=float)
         bars = np.asarray(cfg["bars"], dtype=int)
+        n_nodes = nodes.shape[0]
+        for j, (a, b) in enumerate(bars):
+            if not (0 <= a < n_nodes and 0 <= b < n_nodes) or \
+                    np.array_equal(nodes[a], nodes[b]):
+                raise ConfigError(f"bars: bar {j} has zero length or a node "
+                                  f"outside 0..{n_nodes - 1}", field="bars")
         nx = 0
         fixed = set()
         for entry in cfg.get("fixed_nodes", []):
             node = entry.get("node")
-            if node is None:
-                raise ConfigError("explicit geometry requires 'node' indices",
+            if node is None or node >= n_nodes:
+                raise ConfigError("fixed_nodes: explicit geometry requires "
+                                  f"'node' indices 0..{n_nodes - 1}",
                                   field="fixed_nodes")
             if "x" in entry["dirs"]:
                 fixed.add(2 * node)
@@ -215,6 +221,9 @@ def build_from_config(cfg: dict):
     if load_entry is None:
         raise ConfigError("config requires 'load_node'", field="load_node")
     load_node = _node_index(cfg, load_entry, nx)
+    if load_node >= gs.n_nodes:
+        raise ConfigError(f"load_node: node {load_node} does not exist",
+                          field="load_node")
     model = truss.build_model(
         gs, mat, load_node,
         load_scale=cfg.get("load_scale", 1.0),

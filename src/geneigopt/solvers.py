@@ -79,7 +79,11 @@ def _count_active(x: np.ndarray) -> int:
 
 
 def project_feasible(y, fs: FeasibleSet) -> np.ndarray:
-    """Euclidean projection onto {x >= lower_bound, l'x <= V0 (or = V0)}."""
+    """Euclidean projection onto {x >= lower_bound, l'x <= V0 (or = V0)}.
+
+    The multiplier tau solves sum_j l_j max(lb, y_j - tau l_j) = V0, found
+    exactly in O(m log m) from the sorted breakpoints (y_j - lb) / l_j.
+    """
     y = np.asarray(y, dtype=float)
     l = fs.l
     lb = fs.lower_bound
@@ -88,32 +92,39 @@ def project_feasible(y, fs: FeasibleSet) -> np.ndarray:
     if fs.kind == probs.VOLUME_LE and vol <= fs.v0:
         return clamped
 
-    # Solve sum_j l_j * max(lb, y_j - tau * l_j) = V0 for the multiplier tau;
-    # the left side is a nonincreasing piecewise linear function of tau.
-    def h(tau):
-        return float(l @ np.maximum(y - tau * l, lb))
+    # With the k largest breakpoints free the volume meets V0 at taus[k-1];
+    # the root is the first such tau at or above the next breakpoint.
+    excess = y - lb
+    breaks = excess / l
+    order = breaks.argsort()[::-1]
+    ls = l[order]
+    taus = ((ls * excess[order]).cumsum() - (fs.v0 - lb * l.sum())) \
+        / (ls * ls).cumsum()
+    valid = taus[:-1] >= breaks[order[1:]]
+    root = float(taus[valid.argmax() if valid.any() else -1])
 
+    # Bracket tau to 1e-12 as a bisection would, with the root deciding each
+    # step, and read the active set at the midpoint: the Polyak stops react
+    # to the last bits of a bar whose breakpoint lies that close to the root.
     lo, hi = 0.0, 1.0
-    if h(0.0) < fs.v0:
-        while h(-hi) < fs.v0:
-            hi *= 2.0
+    while hi < abs(root):
+        hi *= 2.0
+    if vol < fs.v0:
         lo, hi = -hi, 0.0
-    else:
-        while h(hi) > fs.v0:
-            hi *= 2.0
     while hi - lo > 1e-12 * (1.0 + abs(hi) + abs(lo)):
         mid = 0.5 * (lo + hi)
-        if h(mid) > fs.v0:
+        if mid < root:
             lo = mid
         else:
             hi = mid
-    # Exact multiplier from the active set at the bisected tau.
+    # Exact multiplier from the active set at the bracketed tau.
     tau = 0.5 * (lo + hi)
     free = y - tau * l > lb
-    denom = float(l[free] @ l[free])
+    l_free = l[free]
+    denom = float(l_free @ l_free)
     if denom > 0:
-        fixed_vol = lb * float(np.sum(l[~free]))
-        tau = (float(l[free] @ y[free]) - (fs.v0 - fixed_vol)) / denom
+        fixed_vol = lb * float(l[~free].sum())
+        tau = (float(l_free @ y[free]) - (fs.v0 - fixed_vol)) / denom
     return np.maximum(y - tau * l, lb)
 
 

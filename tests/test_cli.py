@@ -101,6 +101,24 @@ def test_solve_all_dofs_fixed_is_config_error(tmp_path):
     assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"bars": [[0, 1], [1, 1]]}, "bars"),
+    ({"nodes": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+      "bars": [[0, 1], [2, 0]]}, "bars"),
+    ({"nodes": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+      "bars": [[0, 1], [0, 7]]}, "bars"),
+    ({"fixed_nodes": [{"node": 5, "dirs": "xy"}]}, "fixed_nodes"),
+    ({"load_node": {"node": 2}}, "load_node"),
+])
+def test_bad_explicit_geometry_is_config_error(tmp_path, capsys, overrides,
+                                               field):
+    path, _ = single_bar_config(tmp_path, **overrides)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert f"config error: {field}" in out.err
+
+
 def test_bisect_exit_code_when_unbracketable(tmp_path):
     # vertical mass direction has no stiffness: the objective is +inf
     # everywhere and no level can be certified

@@ -76,6 +76,101 @@ def test_projection_is_nearest_point():
             assert float((y - p) @ (z - p)) <= 1e-7 * (1 + np.linalg.norm(y))
 
 
+def _bisection_projection(y, fs):
+    """Reference projection by tau bisection; the solvers' paths rest on it."""
+    y = np.asarray(y, dtype=float)
+    l = fs.l
+    lb = fs.lower_bound
+    clamped = np.maximum(y, lb)
+    vol = float(l @ clamped)
+    if fs.kind == problems.VOLUME_LE and vol <= fs.v0:
+        return clamped
+
+    def h(tau):
+        return float(l @ np.maximum(y - tau * l, lb))
+
+    lo, hi = 0.0, 1.0
+    if h(0.0) < fs.v0:
+        while h(-hi) < fs.v0:
+            hi *= 2.0
+        lo, hi = -hi, 0.0
+    else:
+        while h(hi) > fs.v0:
+            hi *= 2.0
+    while hi - lo > 1e-12 * (1.0 + abs(hi) + abs(lo)):
+        mid = 0.5 * (lo + hi)
+        if h(mid) > fs.v0:
+            lo = mid
+        else:
+            hi = mid
+    tau = 0.5 * (lo + hi)
+    free = y - tau * l > lb
+    denom = float(l[free] @ l[free])
+    if denom > 0:
+        fixed_vol = lb * float(np.sum(l[~free]))
+        tau = (float(l[free] @ y[free]) - (fs.v0 - fixed_vol)) / denom
+    return np.maximum(y - tau * l, lb)
+
+
+def _random_projection_case(rng, fading=False):
+    m = int(rng.integers(1, 301))
+    l = rng.uniform(0.1, 3.0, m)
+    kind = problems.VOLUME_EQ if rng.random() < 0.5 else problems.VOLUME_LE
+    lb = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 0.5))
+    v0 = lb * float(l.sum()) + float(rng.uniform(0.01, 3.0)) * \
+        (1.0 + float(rng.random() * l.sum()))
+    fs = FeasibleSet(l=l, v0=v0, kind=kind, lower_bound=lb)
+    scale = 10.0 ** rng.uniform(-3.0, 2.0)
+    # the shift makes y small (negative roots for eq) or large (positive)
+    y = (rng.standard_normal(m) + rng.uniform(-1.0, 1.0)) * scale
+    if rng.random() < 0.3:
+        y[rng.random(m) < 1.0 / 3.0] = lb
+    if fading and rng.random() < 0.3:
+        # a fading bar: one breakpoint within about 1e-13 of the root, where
+        # the active set read at the bracket midpoint and at the root differ
+        p = _bisection_projection(y, fs)
+        free = p > lb
+        if np.any(free) and not np.array_equal(p, np.maximum(y, lb)):
+            tau = float(np.median((y[free] - p[free]) / l[free]))
+            j = int(rng.integers(m))
+            y[j] = lb + tau * l[j] * (1.0 + rng.uniform(-1e-13, 1e-13))
+    return y, fs
+
+
+def test_projection_bit_identical_to_bisection():
+    rng = np.random.default_rng(2008)
+    kinds = set()
+    for _ in range(5000):
+        y, fs = _random_projection_case(rng, fading=True)
+        p = project_feasible(y, fs)
+        assert np.array_equal(p, _bisection_projection(y, fs))
+        kinds.add((fs.kind, fs.lower_bound > 0, float(fs.l @ np.maximum(
+            y, fs.lower_bound)) < fs.v0))
+    # le and eq, lb = 0 and lb > 0, and eq with a negative root all occur
+    assert len(kinds) == 8
+
+
+def test_projection_kkt():
+    rng = np.random.default_rng(2016)
+    for _ in range(500):
+        y, fs = _random_projection_case(rng)
+        lb = fs.lower_bound
+        p = project_feasible(y, fs)
+        assert fs.contains(p) and np.all(p >= lb)
+        clamped = np.maximum(y, lb)
+        if fs.kind == problems.VOLUME_LE and float(fs.l @ clamped) <= fs.v0:
+            assert np.array_equal(p, clamped)
+            continue
+        assert abs(float(fs.l @ p) - fs.v0) <= 1e-12 * fs.v0
+        # one multiplier tau explains every entry
+        free = p > lb
+        assert np.any(free)
+        tau = float(np.median((y[free] - p[free]) / fs.l[free]))
+        tol = 1e-12 * (1.0 + np.abs(y))
+        assert np.all(np.abs(p - (y - tau * fs.l))[free] <= tol[free])
+        assert np.all((y - tau * fs.l)[~free] <= lb + tol[~free])
+
+
 # ----------------------------------------------------------- subgradient solve
 
 def test_subgradient_two_bar_minimizer():
