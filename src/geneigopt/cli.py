@@ -8,8 +8,11 @@ Subcommands:
 * ``render <result>``     SVG drawing of a stored design
 * ``verify <suite>``      run the numerical certification suites
 
-Configs and results are JSON; iteration histories are CSV.  The environment
-variable ``GENEIG_SEED`` overrides the configured seed.
+Configs and results are JSON; iteration histories are CSV with columns
+``iter,objective,eps``.  Nodes are referenced by ``node`` index or, on a
+grid, by ``ix``/``iy`` inside ``0..nx-1``/``0..ny-1``.  The config key
+``solver.seed`` is accepted and ignored: every solver is deterministic.  The
+environment variable ``GENEIG_SEED`` overrides the seed of ``verify``.
 """
 
 from __future__ import annotations
@@ -167,49 +170,53 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _node_index(cfg: dict, entry: dict, nx: int) -> int:
+def _node_index(entry: dict, field: str, n_nodes: int,
+                grid: dict | None) -> int:
+    """Node number of a ``node`` or (grid only) ``ix``/``iy`` reference."""
     if "node" in entry:
-        return entry["node"]
-    if "ix" not in entry or "iy" not in entry:
-        raise ConfigError("node reference needs 'node' or 'ix'/'iy'",
-                          field="load_node")
-    return truss.grid_node_index(nx, entry["ix"], entry["iy"])
+        node = entry["node"]
+    elif grid is None or "ix" not in entry or "iy" not in entry:
+        raise ConfigError(f"{field}: node reference needs 'node' (or "
+                          "'ix'/'iy' on a grid)", field=field)
+    elif entry["ix"] >= grid["nx"] or entry["iy"] >= grid["ny"]:
+        raise ConfigError(f"{field}: ix/iy outside the {grid['nx']}x"
+                          f"{grid['ny']} grid", field=field)
+    else:
+        node = truss.grid_node_index(grid["nx"], entry["ix"], entry["iy"])
+    if node >= n_nodes:
+        raise ConfigError(f"{field}: node {node} outside 0..{n_nodes - 1}",
+                          field=field)
+    return node
 
 
 def build_from_config(cfg: dict):
     """Construct (ground structure, model, problem spec fragments)."""
-    if "grid" in cfg:
-        g = cfg["grid"]
-        nx = g["nx"]
-        fixed_map = {}
-        for entry in cfg.get("fixed_nodes", []):
-            fixed_map[_node_index(cfg, entry, nx)] = entry["dirs"]
+    grid = cfg.get("grid")
+    n_nodes = grid["nx"] * grid["ny"] if grid is not None else len(cfg["nodes"])
+    supports = [(_node_index(entry, "fixed_nodes", n_nodes, grid),
+                 entry["dirs"]) for entry in cfg.get("fixed_nodes", [])]
+
+    if grid is not None:
+        fixed_map = dict(supports)
 
         def fixed(ix, iy):
-            return fixed_map.get(truss.grid_node_index(nx, ix, iy), "")
+            return fixed_map.get(truss.grid_node_index(grid["nx"], ix, iy), "")
 
-        gs = truss.generate_ground_structure(g["nx"], g["ny"], g["spacing"],
-                                             fixed)
+        gs = truss.generate_ground_structure(grid["nx"], grid["ny"],
+                                             grid["spacing"], fixed)
     else:
         nodes = np.asarray(cfg["nodes"], dtype=float)
         bars = np.asarray(cfg["bars"], dtype=int)
-        n_nodes = nodes.shape[0]
         for j, (a, b) in enumerate(bars):
             if not (0 <= a < n_nodes and 0 <= b < n_nodes) or \
                     np.array_equal(nodes[a], nodes[b]):
                 raise ConfigError(f"bars: bar {j} has zero length or a node "
                                   f"outside 0..{n_nodes - 1}", field="bars")
-        nx = 0
         fixed = set()
-        for entry in cfg.get("fixed_nodes", []):
-            node = entry.get("node")
-            if node is None or node >= n_nodes:
-                raise ConfigError("fixed_nodes: explicit geometry requires "
-                                  f"'node' indices 0..{n_nodes - 1}",
-                                  field="fixed_nodes")
-            if "x" in entry["dirs"]:
+        for node, dirs in supports:
+            if "x" in dirs:
                 fixed.add(2 * node)
-            if "y" in entry["dirs"]:
+            if "y" in dirs:
                 fixed.add(2 * node + 1)
         gs = truss.GroundStructure(nodes=nodes, bars=bars,
                                    fixed_dofs=frozenset(fixed), spacing=1.0)
@@ -220,10 +227,7 @@ def build_from_config(cfg: dict):
     load_entry = cfg.get("load_node")
     if load_entry is None:
         raise ConfigError("config requires 'load_node'", field="load_node")
-    load_node = _node_index(cfg, load_entry, nx)
-    if load_node >= gs.n_nodes:
-        raise ConfigError(f"load_node: node {load_node} does not exist",
-                          field="load_node")
+    load_node = _node_index(load_entry, "load_node", n_nodes, grid)
     model = truss.build_model(
         gs, mat, load_node,
         load_scale=cfg.get("load_scale", 1.0),
@@ -251,9 +255,7 @@ def problem_from_config(cfg: dict, model, eps: float | None = None):
 def solver_options_from_config(cfg: dict) -> SolverOptions:
     s = dict(cfg.get("solver", {}))
     s.pop("name", None)
-    env_seed = os.environ.get("GENEIG_SEED")
-    if env_seed is not None:
-        s["seed"] = int(env_seed)
+    s.pop("seed", None)  # accepted for old configs; every solver is deterministic
     return SolverOptions(**s)
 
 
@@ -297,10 +299,10 @@ def _write_result(record: dict, reports, cfg: dict, config_path: str):
         fh.write("\n")
     with open(history_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "objective", "step", "eps", "mu"])
+        writer.writerow(["iter", "objective", "eps"])
         for rep in reports:
             for it, obj in rep.history:
-                writer.writerow([it, repr(obj), "", rep.eps_used, ""])
+                writer.writerow([it, repr(obj), rep.eps_used])
     svg_path = out.get("svg")
     if svg_path:
         render_svg(record, svg_path)

@@ -26,6 +26,7 @@ from . import symmat
 from .errors import (
     DegeneratePair,
     InvalidEpsilon,
+    InvalidMatrix,
     InvalidSmoothing,
     NotPositiveSemidefinite,
     OutOfDomain,
@@ -68,14 +69,13 @@ class AffinePencil:
         a0 = as_symmetric(constant)
         coeffs = None
         if len(coefficients):
-            coeffs = np.stack([as_symmetric(c) for c in coefficients])
-            if coeffs.shape[1:] != a0.shape:
+            raw = np.asarray(coefficients, dtype=float)
+            if raw.shape[1:] != a0.shape:
                 raise ValueError("pencil matrices must share one dimension")
+            coeffs = raw + raw.swapaxes(1, 2)
+            coeffs *= 0.5
             if check_psd:
-                for j in range(coeffs.shape[0]):
-                    if not symmat.is_psd(coeffs[j], tol):
-                        raise NotPositiveSemidefinite(
-                            f"pencil coefficient {j} is not PSD")
+                _check_psd_stack(coeffs, tol)
         self.constant = a0
         self.coeffs = coeffs
         self.nvars = 0 if coeffs is None else coeffs.shape[0]
@@ -109,6 +109,20 @@ class AffinePencil:
         pencil = AffinePencil(matrix, [])
         pencil.nvars = nvars
         return pencil
+
+
+def _check_psd_stack(coeffs: np.ndarray, tol: TolerancePolicy):
+    """``symmat.is_psd`` on each matrix of a stack, in one batched eigvalsh;
+    raises ``InvalidMatrix``, else ``NotPositiveSemidefinite``, naming the
+    first bad coefficient (each scaled by its own ``1 + max|C_j|``)."""
+    scale = 1.0 + np.maximum(coeffs.max(axis=(1, 2)), -coeffs.min(axis=(1, 2)))
+    bad = np.flatnonzero(~np.isfinite(scale))
+    if bad.size:
+        raise InvalidMatrix(f"pencil coefficient {bad[0]} has non-finite entries")
+    lam_min = np.linalg.eigvalsh(coeffs)[:, 0]
+    bad = np.flatnonzero(lam_min < -tol.psd_tol * scale)
+    if bad.size:
+        raise NotPositiveSemidefinite(f"pencil coefficient {bad[0]} is not PSD")
 
 
 def _require_psd_pair(x, y, tol: TolerancePolicy, *, split: bool = False):

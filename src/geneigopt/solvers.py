@@ -47,9 +47,7 @@ class SolverOptions:
     mu_decay: str = MU_ONE_OVER_K
     restart: bool = True
     tol_obj: float = 1e-10
-    seed: int = 0
     bisect_tol: float = 1e-8
-    history_stride: int = 1
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -174,8 +172,7 @@ def projected_subgradient(spec: ProblemSpec, x0=None,
     for k in range(opts.max_iters):
         iters = k + 1
         f, g = vg(x)
-        if k % opts.history_stride == 0:
-            history.append((k, min(f, best_f)))
+        history.append((k, min(f, best_f)))
         if f < best_f:
             best_f = f
             best_x = x.copy()
@@ -262,8 +259,7 @@ def smoothed_apg(spec: ProblemSpec, x0=None,
         lips = max(lips * 0.9, 1e-12)
 
         f_true = vg(x_new)[0]
-        if k % opts.history_stride == 0:
-            history.append((k + 1, min(f_true, best_f)))
+        history.append((k + 1, min(f_true, best_f)))
         if f_true < best_f:
             best_f = f_true
             best_x = x_new.copy()

@@ -1,8 +1,9 @@
 """2D truss ground structures and their stiffness/mass pencils.
 
 Nodes live on a rectangular grid; every node pair is a candidate bar except
-pairs whose open segment passes through a third grid node (overlapping bars
-are eliminated).  Element stiffness matrices are the classic rank-one
+pairs whose open segment passes through a third grid node.  On a grid that
+rule is exact: the pair is a bar iff gcd(|dix|, |diy|) = 1, with no
+tolerance.  Element stiffness matrices are the classic rank-one
 (E / L) g g' truss elements; element mass matrices are lumped (diagonal),
 half the bar mass at each endpoint.  Supports may restrain individual
 directions of a node.
@@ -10,15 +11,12 @@ directions of a node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidLoadNode, NoFreeDofs
 from .geneig import AffinePencil
-
-#: Relative collinearity tolerance for overlap elimination.
-OVERLAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,6 @@ class TrussModel:
     q_matrix: np.ndarray
     nonstructural_mass: float
     load_node: int
-    free_dof_map: dict[int, int] = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -93,36 +90,6 @@ class TrussModel:
         return self.k_pencil.nvars
 
 
-def _segment_contains_interior_point(p0, p1, q, tol):
-    """True when q lies strictly inside segment p0-p1 (within tol of it)."""
-    d = p1 - p0
-    length = np.linalg.norm(d)
-    t = float(np.dot(q - p0, d)) / (length * length)
-    if t <= 0.0 or t >= 1.0:
-        return False
-    dist = np.linalg.norm(q - (p0 + t * d))
-    return dist < tol
-
-
-def eliminate_overlaps(nodes: np.ndarray, bars: np.ndarray,
-                       spacing: float) -> np.ndarray:
-    """Drop bars whose open segment passes through another node."""
-    tol = OVERLAP_TOL * spacing
-    keep = []
-    for a, b in bars:
-        p0, p1 = nodes[a], nodes[b]
-        blocked = False
-        for c in range(nodes.shape[0]):
-            if c == a or c == b:
-                continue
-            if _segment_contains_interior_point(p0, p1, nodes[c], tol):
-                blocked = True
-                break
-        if not blocked:
-            keep.append((a, b))
-    return np.array(keep, dtype=int).reshape(-1, 2)
-
-
 def grid_node_index(nx: int, ix: int, iy: int) -> int:
     """Node numbering: x-fastest, row by row from the bottom."""
     return iy * nx + ix
@@ -130,8 +97,10 @@ def grid_node_index(nx: int, ix: int, iy: int) -> int:
 
 def generate_ground_structure(nx: int, ny: int, spacing: float,
                               fixed_nodes=None) -> GroundStructure:
-    """Full nx-by-ny grid ground structure with overlapping bars eliminated.
+    """Full nx-by-ny grid ground structure without overlapping bars.
 
+    Candidate pairs (a, b), a < b, come in row-major order; a pair is kept
+    iff gcd(|dix|, |diy|) = 1, i.e. no grid node lies strictly between.
     ``fixed_nodes`` is a predicate ``(ix, iy) -> str`` returning which
     directions of the node are restrained: "" (free), "x", "y", or "xy".
     """
@@ -139,24 +108,19 @@ def generate_ground_structure(nx: int, ny: int, spacing: float,
         raise ValueError("grid must contain at least two nodes")
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    nodes = np.array([[ix * spacing, iy * spacing]
-                      for iy in range(ny) for ix in range(nx)], dtype=float)
-    n_nodes = nodes.shape[0]
-    pairs = np.array([(a, b) for a in range(n_nodes)
-                      for b in range(a + 1, n_nodes)], dtype=int)
-    bars = eliminate_overlaps(nodes, pairs, spacing)
+    iy, ix = np.divmod(np.arange(nx * ny), nx)
+    nodes = np.column_stack((ix, iy)).astype(float) * spacing
+    a, b = np.triu_indices(nx * ny, k=1)
+    keep = np.gcd(np.abs(ix[b] - ix[a]), np.abs(iy[b] - iy[a])) == 1
+    bars = np.column_stack((a[keep], b[keep]))
 
     fixed = set()
     if fixed_nodes is not None:
-        for iy in range(ny):
-            for ix in range(nx):
-                dirs = fixed_nodes(ix, iy) or ""
-                node = grid_node_index(nx, ix, iy)
-                if "x" in dirs:
-                    fixed.add(2 * node)
-                if "y" in dirs:
-                    fixed.add(2 * node + 1)
-    if len(fixed) >= 2 * n_nodes:
+        for node in range(nx * ny):
+            dirs = fixed_nodes(int(ix[node]), int(iy[node])) or ""
+            fixed.update(2 * node + d for d, axis in enumerate("xy")
+                         if axis in dirs)
+    if len(fixed) >= 2 * nx * ny:
         raise NoFreeDofs("every DOF is restrained")
     return GroundStructure(nodes=nodes, bars=bars,
                            fixed_dofs=frozenset(fixed), spacing=spacing)
@@ -167,54 +131,47 @@ def build_model(gs: GroundStructure, mat: Material, load_node: int,
                 load_dims: int = 2) -> TrussModel:
     """Assemble element pencils, volume vector and the load weight matrix.
 
-    The load weight matrix Q gets ``load_dims`` unit columns (scaled by
-    ``load_scale``) on the load node's DOFs; the non-structural mass sits on
-    the same node's free DOFs.
+    Row j of G holds bar j's direction vector g_j on the free DOFs, so
+    K_j = (E / L_j) g_j g_j'; M_j is diagonal with half the bar mass on
+    each free DOF of both endpoints.  The load weight matrix Q gets
+    ``load_dims`` unit columns (scaled by ``load_scale``) on the load
+    node's DOFs; the non-structural mass sits on the same node's free DOFs.
     """
     if load_dims not in (1, 2):
         raise ValueError("load_dims must be 1 or 2")
     free = gs.free_dofs
     if not free:
         raise NoFreeDofs("every DOF is restrained")
-    dof_map = {g: i for i, g in enumerate(free)}
     n = len(free)
+    # global DOF -> free DOF index, -1 on restrained DOFs
+    dof_index = np.full(2 * gs.n_nodes, -1)
+    dof_index[free] = np.arange(n)
 
-    load_dofs = [2 * load_node + d for d in range(load_dims)]
-    if any(d not in dof_map for d in load_dofs):
+    load = dof_index[2 * load_node:2 * load_node + 2]
+    if not 0 <= load_node < gs.n_nodes or np.any(load[:load_dims] < 0):
         raise InvalidLoadNode(
             f"node {load_node} must be free in the first {load_dims} direction(s)")
+    load = load[load >= 0]
 
     m = gs.n_bars
-    k_coeffs = np.zeros((m, n, n))
+    d = gs.nodes[gs.bars[:, 1]] - gs.nodes[gs.bars[:, 0]]
+    lengths = np.linalg.norm(d, axis=1)
+    unit = d / lengths[:, None]
+    # per bar: free DOFs among (2a, 2a+1, 2b, 2b+1) and their entries of g_j
+    dofs = dof_index[(2 * gs.bars[:, :, None] + np.arange(2)).reshape(m, 4)]
+    bar, slot = np.nonzero(dofs >= 0)
+    col = dofs[bar, slot]
+    g = np.zeros((m, n))
+    g[bar, col] = np.hstack((-unit, unit))[bar, slot]
+    k_coeffs = g[:, :, None] * g[:, None, :]
+    k_coeffs *= (mat.young_modulus / lengths)[:, None, None]
     m_coeffs = np.zeros((m, n, n))
-    lengths = np.zeros(m)
-    for j, (a, b) in enumerate(gs.bars):
-        d = gs.nodes[b] - gs.nodes[a]
-        length = float(np.linalg.norm(d))
-        lengths[j] = length
-        c, s = d / length
-        g = np.zeros(n)
-        for node, sign in ((a, -1.0), (b, 1.0)):
-            for direction, cos in ((0, c), (1, s)):
-                gdof = 2 * node + direction
-                if gdof in dof_map:
-                    g[dof_map[gdof]] = sign * cos
-        k_coeffs[j] = (mat.young_modulus / length) * np.outer(g, g)
-        half_mass = 0.5 * mat.density * length
-        for node in (a, b):
-            for direction in (0, 1):
-                gdof = 2 * node + direction
-                if gdof in dof_map:
-                    m_coeffs[j, dof_map[gdof], dof_map[gdof]] += half_mass
+    m_coeffs[bar, col, col] = (0.5 * mat.density * lengths)[bar]
 
     m0 = np.zeros((n, n))
-    for d in (2 * load_node, 2 * load_node + 1):
-        if d in dof_map:
-            m0[dof_map[d], dof_map[d]] = nonstructural_mass
-
+    m0[load, load] = nonstructural_mass
     q = np.zeros((n, load_dims))
-    for col, d in enumerate(load_dofs):
-        q[dof_map[d], col] = load_scale
+    q[load[:load_dims], np.arange(load_dims)] = load_scale
 
     return TrussModel(
         structure=gs,
@@ -225,7 +182,6 @@ def build_model(gs: GroundStructure, mat: Material, load_node: int,
         q_matrix=q,
         nonstructural_mass=nonstructural_mass,
         load_node=load_node,
-        free_dof_map=dof_map,
     )
 
 

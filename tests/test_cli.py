@@ -90,7 +90,7 @@ def test_solve_single_bar(tmp_path, capsys):
     assert result["model"]["m"] == 1
     # history file has the expected header
     lines = (tmp_path / "config.history.csv").read_text().splitlines()
-    assert lines[0] == "iter,objective,step,eps,mu"
+    assert lines[0] == "iter,objective,eps"
     assert len(lines) > 1
 
 
@@ -113,6 +113,23 @@ def test_solve_all_dofs_fixed_is_config_error(tmp_path):
 def test_bad_explicit_geometry_is_config_error(tmp_path, capsys, overrides,
                                                field):
     path, _ = single_bar_config(tmp_path, **overrides)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert f"config error: {field}" in out.err
+
+
+@pytest.mark.parametrize("make, overrides, field", [
+    (two_bar_grid_config,
+     {"grid": {"nx": 3, "ny": 3, "spacing": 1.0}, "load_node": {"ix": 3, "iy": 0}},
+     "load_node"),
+    (two_bar_grid_config,
+     {"fixed_nodes": [{"ix": 0, "iy": 2, "dirs": "xy"}]}, "fixed_nodes"),
+    (single_bar_config, {"load_node": {"ix": 1, "iy": 5}}, "load_node"),
+])
+def test_bad_node_reference_is_config_error(tmp_path, capsys, make, overrides,
+                                            field):
+    path, _ = make(tmp_path, **overrides)
     assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
     out = capsys.readouterr()
     assert "Traceback" not in out.out + out.err

@@ -10,6 +10,7 @@ from geneigopt import geneig, verify
 from geneigopt.errors import (
     DegeneratePair,
     InvalidEpsilon,
+    InvalidMatrix,
     InvalidSmoothing,
     NotPositiveSemidefinite,
     OutOfDomain,
@@ -243,6 +244,29 @@ def test_affine_pencil_evaluation():
 def test_affine_pencil_rejects_non_psd_coefficients():
     with pytest.raises(NotPositiveSemidefinite):
         AffinePencil(np.zeros((2, 2)), [np.diag([-1.0, 0.0])])
+
+
+def test_affine_pencil_checks_the_whole_stack():
+    rng = np.random.default_rng(5)
+    n = 4
+    stack = [f @ f.T for f in rng.standard_normal((6, n, 2))]
+    pencil = AffinePencil(np.zeros((n, n)), stack)
+    assert pencil.coeffs.flags.c_contiguous and pencil.coeffs.dtype == float
+    assert np.array_equal(pencil.coeffs, [0.5 * (c + c.T) for c in stack])
+    # scaled by 1 + max|C_j| per coefficient: an eigenvalue of -1e-5
+    # passes on a coefficient of size 1e6, -1e-3 fails next to it
+    stack[3] = 1e6 * stack[3] - 1e-5 * np.eye(n)
+    AffinePencil(np.zeros((n, n)), stack)
+    for j in (0, 2, 5):
+        bad = list(stack)
+        bad[j] = stack[j] - 1e-3 * np.eye(n)
+        with pytest.raises(NotPositiveSemidefinite, match=f"coefficient {j} "):
+            AffinePencil(np.zeros((n, n)), bad)
+    bad = list(stack)
+    bad[2] = stack[2].copy()
+    bad[2][1, 3] = np.nan
+    with pytest.raises(InvalidMatrix, match="coefficient 2 "):
+        AffinePencil(np.zeros((n, n)), bad)
 
 
 def test_constant_pencil_has_zero_gradient_terms():

@@ -1,40 +1,89 @@
 """Tests for ground-structure generation and pencil assembly."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from geneigopt import truss
+from geneigopt import cli, truss
 from geneigopt.errors import InvalidLoadNode, NoFreeDofs
 from geneigopt.truss import (
     GroundStructure,
     Material,
     build_model,
-    eliminate_overlaps,
     generate_ground_structure,
     grid_node_index,
     uniform_feasible_design,
 )
 
 
-def count_bars_by_enumeration(nodes):
-    """Brute-force oracle: all pairs whose open segment avoids other nodes."""
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((REPO / "examples-configs").glob("*.json")) + \
+    sorted((REPO / "bench" / "configs").glob("*.json"))
+
+
+def count_bars_by_enumeration(nodes, tol=1e-9):
+    """Brute-force oracle: all pairs (a < b) whose open segment avoids the
+    other nodes, within ``tol`` of the segment."""
     n = nodes.shape[0]
-    kept = 0
+    pairs = []
     for a in range(n):
         for b in range(a + 1, n):
-            p0, p1 = nodes[a], nodes[b]
-            blocked = False
-            for c in range(n):
-                if c in (a, b):
-                    continue
-                d = p1 - p0
-                t = float(np.dot(nodes[c] - p0, d)) / float(d @ d)
-                if 0 < t < 1 and np.linalg.norm(nodes[c] - (p0 + t * d)) < 1e-9:
-                    blocked = True
-                    break
-            if not blocked:
-                kept += 1
-    return kept
+            p0, d = nodes[a], nodes[b] - nodes[a]
+            others = np.delete(nodes, [a, b], axis=0)
+            t = (others - p0) @ d / float(d @ d)
+            dist = np.linalg.norm(others - (p0 + t[:, None] * d), axis=1)
+            if not np.any((0 < t) & (t < 1) & (dist < tol)):
+                pairs.append((a, b))
+    return np.array(pairs, dtype=int).reshape(-1, 2)
+
+
+def loop_build_model(gs, mat, load_node, load_scale=1.0,
+                     nonstructural_mass=0.0, load_dims=2):
+    """Oracle: per-bar, per-DOF loop assembly through a DOF dict; returns
+    the symmetrized K and M stacks, volumes, M0 and Q."""
+    free = gs.free_dofs
+    dof_map = {g: i for i, g in enumerate(free)}
+    n = len(free)
+    load_dofs = [2 * load_node + d for d in range(load_dims)]
+    m = gs.n_bars
+    k_coeffs = np.zeros((m, n, n))
+    m_coeffs = np.zeros((m, n, n))
+    lengths = np.zeros(m)
+    for j, (a, b) in enumerate(gs.bars):
+        d = gs.nodes[b] - gs.nodes[a]
+        length = float(np.linalg.norm(d))
+        lengths[j] = length
+        c, s = d / length
+        g = np.zeros(n)
+        for node, sign in ((a, -1.0), (b, 1.0)):
+            for direction, cos in ((0, c), (1, s)):
+                gdof = 2 * node + direction
+                if gdof in dof_map:
+                    g[dof_map[gdof]] = sign * cos
+        k_coeffs[j] = (mat.young_modulus / length) * np.outer(g, g)
+        half_mass = 0.5 * mat.density * length
+        for node in (a, b):
+            for direction in (0, 1):
+                gdof = 2 * node + direction
+                if gdof in dof_map:
+                    m_coeffs[j, dof_map[gdof], dof_map[gdof]] += half_mass
+    m0 = np.zeros((n, n))
+    for d in (2 * load_node, 2 * load_node + 1):
+        if d in dof_map:
+            m0[dof_map[d], dof_map[d]] = nonstructural_mass
+    q = np.zeros((n, load_dims))
+    for col, d in enumerate(load_dofs):
+        q[dof_map[d], col] = load_scale
+    sym = [np.stack([0.5 * (c + c.T) for c in stack])
+           for stack in (k_coeffs, m_coeffs)]
+    return {"K": sym[0], "M": sym[1], "volumes": lengths, "M0": m0, "Q": q}
+
+
+def model_arrays(model):
+    return {"K": model.k_pencil.coeffs, "M": model.m_pencil.coeffs,
+            "volumes": model.volumes, "M0": model.m_pencil.constant,
+            "Q": model.q_matrix}
 
 
 def test_grid_sizes():
@@ -42,7 +91,7 @@ def test_grid_sizes():
     assert generate_ground_structure(3, 1, 1.0).n_bars == 2
     gs = generate_ground_structure(3, 3, 1.0)
     assert gs.n_bars == 28
-    assert gs.n_bars == count_bars_by_enumeration(gs.nodes)
+    assert np.array_equal(gs.bars, count_bars_by_enumeration(gs.nodes))
 
 
 def test_grid_node_numbering():
@@ -51,10 +100,60 @@ def test_grid_node_numbering():
     assert np.allclose(gs.nodes[0], [0.0, 0.0])
 
 
-def test_overlap_elimination_idempotent():
-    gs = generate_ground_structure(4, 3, 1.0)
-    again = eliminate_overlaps(gs.nodes, gs.bars, gs.spacing)
-    assert np.array_equal(gs.bars, again)
+@pytest.mark.parametrize("spacing", [1.0, 0.7, 2.5])
+def test_gcd_rule_matches_enumeration(spacing):
+    for nx in range(1, 10):
+        for ny in range(1, 6):
+            if nx * ny < 2:
+                continue
+            gs = generate_ground_structure(nx, ny, spacing)
+            expected = np.array([[ix * spacing, iy * spacing]
+                                 for iy in range(ny) for ix in range(nx)])
+            assert np.array_equal(gs.nodes, expected)
+            assert np.array_equal(
+                gs.bars, count_bars_by_enumeration(gs.nodes, 1e-9 * spacing)), \
+                (nx, ny)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_assembly_bit_identical_to_loop_oracle(path):
+    cfg = cli.load_config(str(path))
+    gs, model = cli.build_from_config(cfg)
+    if "grid" in cfg:
+        assert np.array_equal(gs.bars, count_bars_by_enumeration(gs.nodes))
+    else:
+        assert np.array_equal(gs.nodes, cfg["nodes"])
+        assert np.array_equal(gs.bars, cfg["bars"])
+    expected = loop_build_model(
+        gs, model.material, model.load_node, cfg.get("load_scale", 1.0),
+        model.nonstructural_mass, cfg.get("load_dims", 2))
+    got = model_arrays(model)
+    for key, want in expected.items():
+        assert got[key].dtype == want.dtype and np.array_equal(got[key], want), key
+    assert got["K"].flags.c_contiguous and got["M"].flags.c_contiguous
+
+
+def test_assembly_matches_loop_oracle_on_irregular_geometry():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n_nodes = int(rng.integers(3, 12))
+        nodes = rng.uniform(-3.0, 3.0, (n_nodes, 2))
+        pairs = np.array([(a, b) for a in range(n_nodes)
+                          for b in range(a + 1, n_nodes)])
+        bars = pairs[rng.random(len(pairs)) < 0.6]
+        load_node = int(rng.integers(n_nodes))
+        fixed = {d for d in range(2 * n_nodes)
+                 if d // 2 != load_node and rng.random() < 0.3}
+        gs = GroundStructure(nodes=nodes, bars=bars,
+                             fixed_dofs=frozenset(fixed), spacing=1.0)
+        mat = Material(rng.uniform(0.5, 2.0), rng.uniform(0.0, 3.0))
+        args = (rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0),
+                int(rng.integers(1, 3)))
+        got = model_arrays(build_model(gs, mat, load_node, *args))
+        expected = loop_build_model(gs, mat, load_node, *args)
+        for key, want in expected.items():
+            err = np.max(np.abs(got[key] - want), initial=0.0)
+            assert err <= 1e-15 * np.max(np.abs(want), initial=0.0), key
 
 
 def test_fixed_nodes_and_no_free_dofs():
