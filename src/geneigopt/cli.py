@@ -145,15 +145,24 @@ CONFIG_SCHEMA = {
 }
 
 
+#: Built once: ``jsonschema.validate`` re-checks the schema on every call.
+#: ``json`` reads NaN, Infinity and 1e400, so a number must also be finite.
+_Validator = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+_Validator.check_schema(CONFIG_SCHEMA)
+_TYPES = _Validator.TYPE_CHECKER.redefine("number", lambda checker, value: (
+    _Validator.TYPE_CHECKER.is_type(value, "number") and math.isfinite(value)))
+_VALIDATOR = jsonschema.validators.extend(
+    _Validator, type_checker=_TYPES)(CONFIG_SCHEMA)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if exc is not None:
         field = "/".join(str(p) for p in exc.absolute_path) or "(root)"
         raise ConfigError(f"invalid config field {field}: {exc.message}",
                           field=field)
@@ -375,7 +384,7 @@ def _dispatch_solve(cfg: dict, config_path: str, mode: str) -> int:
     solver_name = cfg.get("solver", {}).get("name", "subgradient")
     start = time.perf_counter()
 
-    if mode == "sweep":
+    if mode == "sweep-eps":
         schedule = cfg.get("eps_schedule")
         if not schedule:
             raise ConfigError("sweep-eps requires 'eps_schedule'",
@@ -398,7 +407,7 @@ def _dispatch_solve(cfg: dict, config_path: str, mode: str) -> int:
 
     wall = time.perf_counter() - start
     record = result_record(cfg, gs, model, final, wall)
-    if mode == "sweep":
+    if mode == "sweep-eps":
         record["sweep"] = [
             {"eps": r.eps_used, "obj_final": r.obj_final,
              "distance_to_last": float(np.linalg.norm(
@@ -431,9 +440,7 @@ def main(argv=None) -> int:
     try:
         if args.command in ("solve", "sweep-eps", "bisect"):
             cfg = load_config(args.config)
-            mode = {"solve": "solve", "sweep-eps": "sweep",
-                    "bisect": "bisect"}[args.command]
-            return _dispatch_solve(cfg, args.config, mode)
+            return _dispatch_solve(cfg, args.config, args.command)
         if args.command == "render":
             with open(args.result) as fh:
                 result = json.load(fh)

@@ -13,6 +13,10 @@ class NotPositiveSemidefinite(GenEigError):
     """Matrix failed the tolerance-based PSD test."""
 
 
+class SingularDenominator(GenEigError):
+    """The regularized denominator B(x) + eps*I is not positive definite."""
+
+
 class InvalidEpsilon(GenEigError):
     """Regularization parameter must be strictly positive."""
 

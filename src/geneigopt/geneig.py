@@ -30,6 +30,7 @@ from .errors import (
     InvalidSmoothing,
     NotPositiveSemidefinite,
     OutOfDomain,
+    SingularDenominator,
 )
 from .symmat import DEFAULT_TOL, TolerancePolicy, as_symmetric
 
@@ -59,7 +60,8 @@ class AffinePencil:
     Coefficient matrices must be PSD (element stiffness and mass matrices
     are); the constant term is unrestricted so that shifted pencils used in
     bisection can reuse the evaluation path.  ``coeffs`` is the
-    ``(nvars, n, n)`` stack, or None when every coefficient is zero.
+    ``(nvars, n, n)`` stack, or None when every coefficient is zero; the
+    rest of the package uses only ``pencil(x)``, ``quad``, ``level``, ``scale``.
     """
 
     __slots__ = ("constant", "coeffs", "nvars")
@@ -83,6 +85,25 @@ class AffinePencil:
     @property
     def dim(self) -> int:
         return self.constant.shape[0]
+
+    def scale(self, eps: float = 0.0) -> float:
+        """max|A0 + eps*I| + max_j max|A_j|, the entry size of the pencil."""
+        top = float(np.max(np.abs(self.constant + eps * np.eye(self.dim))))
+        if self.coeffs is None:
+            return top
+        return top + float(np.max(np.abs(self.coeffs)))
+
+    def level(self, other: "AffinePencil", alpha: float,
+              eps: float) -> "AffinePencil":
+        """The pencil x -> A(x) - alpha * (B(x) + eps*I) for A = self and
+        B = other: bisection's level test (its coefficients are not PSD)."""
+        pencil = AffinePencil.constant_pencil(
+            self.constant - alpha * (other.constant + eps * np.eye(self.dim)),
+            self.nvars)
+        if self.coeffs is not None or other.coeffs is not None:
+            a, b = (0.0 if p.coeffs is None else p.coeffs for p in (self, other))
+            pencil.coeffs = a - alpha * b
+        return pencil
 
     def __call__(self, x) -> np.ndarray:
         if self.coeffs is None:
@@ -241,16 +262,34 @@ def rayleigh_sup_oracle(x, y, samples: int, seed: int,
     return best
 
 
-def _pencil_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float):
-    """Value, gradient and top eigenvector of x -> lmax(A(x), B(x) + eps*I).
-
-    Internal: allows eps = 0 when B(x) happens to be positive definite,
-    which the lower-bound formulations rely on.
+def _pencil_eigh(pa: AffinePencil, pb: AffinePencil, x, eps: float):
+    """All eigenpairs (ascending) of (A(x), B(x) + eps*I): the solvers' one
+    generalized eigensolve.  Allows eps = 0 (the lower-bound formulations);
+    a B(x) + eps*I that is not positive definite is ``SingularDenominator``.
     """
     x = np.asarray(x, dtype=float)
     a = pa(x)
     b = pb(x) + eps * np.eye(pa.dim)
-    w, vecs = scipy.linalg.eigh(a, b)
+    try:
+        return scipy.linalg.eigh(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularDenominator(
+            f"B(x) + eps*I is not positive definite at eps = {eps}: {exc}"
+        ) from None
+
+
+def _log_sum_exp(w: np.ndarray, mu: float):
+    """mu * log sum_i exp(w_i / mu) and its softmax weights."""
+    z = w / mu
+    zmax = float(np.max(z))
+    expz = np.exp(z - zmax)
+    total = float(np.sum(expz))
+    return mu * (zmax + math.log(total)), expz / total
+
+
+def _pencil_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float):
+    """Value, gradient and top eigenvector of x -> lmax(A(x), B(x) + eps*I)."""
+    w, vecs = _pencil_eigh(pa, pb, x, eps)
     value = max(float(w[-1]), 0.0)
     v = vecs[:, -1]
     grad = pa.quad(v) - value * pb.quad(v)
@@ -293,15 +332,7 @@ def smoothed_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float,
 def _smoothed_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float,
                          mu: float):
     """Internal: allows eps = 0 when B(x) is positive definite."""
-    x = np.asarray(x, dtype=float)
-    a = pa(x)
-    b = pb(x) + eps * np.eye(pa.dim)
-    w, vecs = scipy.linalg.eigh(a, b)
-    z = w / mu
-    zmax = float(np.max(z))
-    expz = np.exp(z - zmax)
-    total = float(np.sum(expz))
-    value = mu * (zmax + math.log(total))
-    sigma = expz / total
+    w, vecs = _pencil_eigh(pa, pb, x, eps)
+    value, sigma = _log_sum_exp(w, mu)
     grad = (pa.quad(vecs) - pb.quad(vecs) * w[np.newaxis, :]) @ sigma
     return value, grad

@@ -130,14 +130,9 @@ def psi_via_linear_solve(model, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
 def phi_exact(model, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     """Extended eigenfrequency objective lmax(M(x), K(x)).
 
-    At x = 0 the value is +inf with a non-structural mass and 0 without one;
-    the explicit branch documents the case analysis (the generic kernel
-    reduction gives the same answer).
+    At x = 0 the value is +inf with a non-structural mass and 0 without one
+    (K(0) = 0, so ``lambda_max_ext`` sees a zero or kernel-escape pair).
     """
-    x = np.asarray(x, dtype=float)
-    if not np.any(x):
-        m0 = model.m_pencil.constant
-        return math.inf if float(np.max(np.abs(m0))) > tol.psd_tol else 0.0
     return geneig.lambda_max_ext(model.m_pencil(x), model.k_pencil(x), tol).value
 
 
@@ -148,9 +143,7 @@ def phi_eps(model, x, eps: float, tol: TolerancePolicy = DEFAULT_TOL) -> float:
 
 
 def _diag_pencil(coeff_diags, constant_diag=None) -> AffinePencil:
-    n = len(coeff_diags[0])
-    constant = np.diag(constant_diag) if constant_diag is not None \
-        else np.zeros((n, n))
+    constant = np.diag(constant_diag or [0.0] * len(coeff_diags[0]))
     return AffinePencil(constant, [np.diag(d) for d in coeff_diags])
 
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import problems as probs
 from .errors import BracketError
-from .geneig import AffinePencil, _pencil_value_grad, _smoothed_value_grad
+from .geneig import (AffinePencil, _log_sum_exp, _pencil_eigh,
+                     _pencil_value_grad, _smoothed_value_grad)
 from .problems import FeasibleSet, ProblemSpec
 
 #: Bars below this fraction of the largest area count as removed.
@@ -40,6 +41,17 @@ MU_ONE_OVER_K = "one_over_k"
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Solver settings; each solver reads only some of them.
+
+    * ``max_iters``: ``projected_subgradient``'s budget; ``smoothed_apg``
+      always runs all of them; ``bisection_global`` caps its subgradient
+      warm start at 4000 and each level's feasibility search at 1000.
+    * ``step_rule``, ``initial_step`` (non-Polyak rules), ``tol_obj`` (the
+      Polyak rule's stop): ``projected_subgradient`` and the warm start.
+    * ``smoothing_mu0``, ``mu_decay``, ``restart``: ``smoothed_apg``, which
+      ignores ``tol_obj``.  ``bisect_tol``: ``bisection_global``.
+    """
+
     max_iters: int = 5000
     step_rule: str = STEP_POLYAK
     initial_step: float = 1.0
@@ -126,21 +138,15 @@ def project_feasible(y, fs: FeasibleSet) -> np.ndarray:
     return np.maximum(y - tau * l, lb)
 
 
-def _value_grad(spec: ProblemSpec):
-    """Objective evaluator for the (possibly regularized) problem."""
-    pa, pb = spec.objective_pencils()
-
-    def vg(x):
-        value, grad, _ = _pencil_value_grad(pa, pb, x, spec.eps)
-        return value, grad
-
-    return vg
-
-
-def _exact_objective(spec: ProblemSpec, x) -> float:
-    if spec.kind == probs.ROBUST_COMPLIANCE:
-        return probs.psi_exact(spec.model, x)
-    return probs.phi_exact(spec.model, x)
+def _report(spec: ProblemSpec, x: np.ndarray, obj: float, history,
+            iterations: int, termination: str) -> SolveReport:
+    """Report for the design x, with its exact (unregularized) objective."""
+    exact = probs.psi_exact if spec.kind == probs.ROBUST_COMPLIANCE \
+        else probs.phi_exact
+    return SolveReport(x_final=x, obj_final=obj, obj_exact=exact(spec.model, x),
+                       history=history, eps_used=spec.eps,
+                       iterations=iterations, termination=termination,
+                       active_bars=_count_active(x))
 
 
 def _start_point(spec: ProblemSpec, x0) -> np.ndarray:
@@ -154,7 +160,7 @@ def _start_point(spec: ProblemSpec, x0) -> np.ndarray:
 def projected_subgradient(spec: ProblemSpec, x0=None,
                           opts: SolverOptions = SolverOptions()) -> SolveReport:
     """Projected subgradient descent; returns the best iterate seen."""
-    vg = _value_grad(spec)
+    pa, pb = spec.objective_pencils()
     fs = spec.feasible
     x = _start_point(spec, x0)
     best_x = x.copy()
@@ -171,7 +177,7 @@ def projected_subgradient(spec: ProblemSpec, x0=None,
     iters = 0
     for k in range(opts.max_iters):
         iters = k + 1
-        f, g = vg(x)
+        f, g, _ = _pencil_value_grad(pa, pb, x, spec.eps)
         history.append((k, min(f, best_f)))
         if f < best_f:
             best_f = f
@@ -208,17 +214,7 @@ def projected_subgradient(spec: ProblemSpec, x0=None,
             raise ValueError(f"unknown step rule {opts.step_rule!r}")
         x = project_feasible(x - t * g, fs)
 
-    report = SolveReport(
-        x_final=best_x,
-        obj_final=best_f,
-        obj_exact=_exact_objective(spec, best_x),
-        history=history,
-        eps_used=spec.eps,
-        iterations=iters,
-        termination=termination,
-        active_bars=_count_active(best_x),
-    )
-    return report
+    return _report(spec, best_x, best_f, history, iters, termination)
 
 
 def smoothed_apg(spec: ProblemSpec, x0=None,
@@ -226,23 +222,21 @@ def smoothed_apg(spec: ProblemSpec, x0=None,
     """Accelerated projected gradient on the log-sum-exp smoothed objective.
 
     The smoothing parameter follows opts.mu_decay; the best iterate is
-    tracked by the true (unsmoothed) regularized objective.
+    tracked by the true (unsmoothed) regularized objective, read from the
+    same eigenvalues as the accepted step's smoothed value.
     """
     pa, pb = spec.objective_pencils()
-    vg = _value_grad(spec)
     fs = spec.feasible
     x = _start_point(spec, x0)
     y = x.copy()
     theta = 1.0
     lips = 1.0
     best_x = x.copy()
-    best_f = vg(x)[0]
+    best_f = _pencil_value_grad(pa, pb, x, spec.eps)[0]
     prev_f = best_f
     history: list[tuple[int, float]] = [(0, best_f)]
 
-    iters = 0
     for k in range(opts.max_iters):
-        iters = k + 1
         if opts.mu_decay == MU_ONE_OVER_K:
             mu = opts.smoothing_mu0 / (k + 1.0)
         else:
@@ -252,13 +246,14 @@ def smoothed_apg(spec: ProblemSpec, x0=None,
         for _ in range(60):
             x_new = project_feasible(y - gy / lips, fs)
             d = x_new - y
-            fx_new = _smoothed_value_grad(pa, pb, x_new, spec.eps, mu)[0]
+            w, _ = _pencil_eigh(pa, pb, x_new, spec.eps)
+            fx_new = _log_sum_exp(w, mu)[0]
             if fx_new <= fy + float(gy @ d) + 0.5 * lips * float(d @ d) + 1e-15:
                 break
             lips *= 2.0
         lips = max(lips * 0.9, 1e-12)
 
-        f_true = vg(x_new)[0]
+        f_true = max(float(w[-1]), 0.0)
         history.append((k + 1, min(f_true, best_f)))
         if f_true < best_f:
             best_f = f_true
@@ -275,21 +270,12 @@ def smoothed_apg(spec: ProblemSpec, x0=None,
         x = x_new
         prev_f = f_true
 
-    return SolveReport(
-        x_final=best_x,
-        obj_final=best_f,
-        obj_exact=_exact_objective(spec, best_x),
-        history=history,
-        eps_used=spec.eps,
-        iterations=iters,
-        termination="max_iters",
-        active_bars=_count_active(best_x),
-    )
+    return _report(spec, best_x, best_f, history, opts.max_iters, "max_iters")
 
 
-def _sublevel_feasible(c0: np.ndarray, c_coeffs: np.ndarray, fs: FeasibleSet,
+def _sublevel_feasible(pencil: AffinePencil, fs: FeasibleSet,
                        x_start: np.ndarray, slack: float, max_iters: int):
-    """Search the feasible set for x with lmax(C(x)) <= slack.
+    """Search the feasible set for x with lmax(C(x)) <= slack, C = pencil.
 
     Polyak steps toward the zero level of the convex function
     h(x) = lmax(C0 + sum_j x_j C_j).  Returns (found, witness, best_value).
@@ -299,8 +285,7 @@ def _sublevel_feasible(c0: np.ndarray, c_coeffs: np.ndarray, fs: FeasibleSet,
     best_x = x.copy()
     since_improve = 0
     for _ in range(max_iters):
-        c = c0 + np.tensordot(x, c_coeffs, axes=1)
-        w, vecs = np.linalg.eigh(c)
+        w, vecs = np.linalg.eigh(pencil(x))
         h = float(w[-1])
         if math.isinf(best_h) or h < best_h - 1e-14 * (1.0 + abs(best_h)):
             best_h = h
@@ -313,7 +298,7 @@ def _sublevel_feasible(c0: np.ndarray, c_coeffs: np.ndarray, fs: FeasibleSet,
         if since_improve > 300:
             break
         v = vecs[:, -1]
-        g = np.einsum("j,mjk,k->m", v, c_coeffs, v)
+        g = pencil.quad(v)
         gnorm2 = float(g @ g)
         if gnorm2 <= 1e-30:
             break
@@ -339,8 +324,6 @@ def bisection_global(spec: ProblemSpec, alpha_lo: float = 0.0,
     """
     pa, pb = spec.objective_pencils()
     fs = spec.feasible
-    n = pa.dim
-    b0 = pb.constant + spec.eps * np.eye(n)
 
     warm_obj = None
     if x0 is None:
@@ -351,32 +334,21 @@ def bisection_global(spec: ProblemSpec, alpha_lo: float = 0.0,
         warm_obj = warm.obj_final
     x_start = project_feasible(np.asarray(x0, dtype=float), fs)
 
-    # a constant pencil (the robust QQ' numerator) stores no coefficients
-    a_coeffs = 0.0 if pa.coeffs is None else pa.coeffs
-    b_coeffs = 0.0 if pb.coeffs is None else pb.coeffs
-    scale_a = float(np.max(np.abs(pa.constant))) + \
-        float(np.max(np.abs(a_coeffs)))
-    scale_b = float(np.max(np.abs(b0))) + float(np.max(np.abs(b_coeffs)))
+    scale_a, scale_b = pa.scale(), pb.scale(spec.eps)
 
     def feasible(alpha, x_from):
-        c0 = pa.constant - alpha * b0
-        c_coeffs = a_coeffs - alpha * b_coeffs
         # an unbounded objective shows up as a margin that ignores alpha;
         # the doubling loop aborts on that before the slack can grow enough
         # to absorb it
         slack = 1e-9 * (1.0 + scale_a + alpha * scale_b)
         # warm-started searches settle quickly; a tight budget keeps the
         # many infeasible-side probes from dominating the run time
-        return _sublevel_feasible(c0, c_coeffs, fs, x_from, slack,
-                                  min(opts.max_iters, 1000))
+        return _sublevel_feasible(pa.level(pb, alpha, spec.eps), fs, x_from,
+                                  slack, min(opts.max_iters, 1000))
 
     ok, x_w, _ = feasible(alpha_lo, x_start)
     if ok:
-        return SolveReport(
-            x_final=x_w, obj_final=alpha_lo,
-            obj_exact=_exact_objective(spec, x_w), history=[],
-            eps_used=spec.eps, iterations=0, termination="bisected",
-            active_bars=_count_active(x_w))
+        return _report(spec, x_w, alpha_lo, [], 0, "bisected")
 
     if alpha_hi is None:
         if warm_obj is None or not math.isfinite(warm_obj):
@@ -421,16 +393,7 @@ def bisection_global(spec: ProblemSpec, alpha_lo: float = 0.0,
         else:
             lo = mid
 
-    return SolveReport(
-        x_final=witness,
-        obj_final=hi,
-        obj_exact=_exact_objective(spec, witness),
-        history=history,
-        eps_used=spec.eps,
-        iterations=it,
-        termination="bisected",
-        active_bars=_count_active(witness),
-    )
+    return _report(spec, witness, hi, history, it, "bisected")
 
 
 def eps_continuation(spec: ProblemSpec, eps_schedule,
@@ -448,10 +411,7 @@ def eps_continuation(spec: ProblemSpec, eps_schedule,
     solve = {"subgradient": projected_subgradient,
              "smoothed_apg": smoothed_apg}[method]
     reports = []
-    x = None
     for eps in eps_schedule:
-        sub = replace(spec, eps=eps)
-        report = solve(sub, x, opts)
-        reports.append(report)
-        x = report.x_final
+        x = reports[-1].x_final if reports else None
+        reports.append(solve(replace(spec, eps=eps), x, opts))
     return reports

@@ -190,21 +190,14 @@ def suite_examples(grid: int = 50) -> list[dict]:
     for x1 in ts:
         for x2 in ts:
             x = np.array([x1, x2])
-            v = problems.phi_exact(wo, x)
-            ref = phi1(x)
-            if math.isinf(ref) != math.isinf(v):
-                ok = False
-            elif math.isfinite(ref):
-                worst = max(worst, abs(v - ref))
-            v = problems.phi_exact(w, x)
-            ref = phi2(x)
-            if math.isinf(ref) != math.isinf(v):
-                ok = False
-            elif math.isfinite(ref):
-                worst = max(worst, abs(v - ref))
-            for e in (0.2, 0.01):
-                worst = max(worst, abs(problems.phi_eps(wo, x, e) - phi1_eps(x, e)))
-                worst = max(worst, abs(problems.phi_eps(w, x, e) - phi2_eps(x, e)))
+            for model, exact, reg in ((wo, phi1, phi1_eps), (w, phi2, phi2_eps)):
+                v, ref = problems.phi_exact(model, x), exact(x)
+                if math.isinf(ref) != math.isinf(v):
+                    ok = False
+                elif math.isfinite(ref):
+                    worst = max(worst, abs(v - ref))
+                for e in (0.2, 0.01):
+                    worst = max(worst, abs(problems.phi_eps(model, x, e) - reg(x, e)))
     results.append(_check("two_bar_closed_forms", ok and worst <= 1e-10,
                           f"worst abs error {worst:.3e}"))
     return results
@@ -271,10 +264,7 @@ def run_suites(which: str = "all", seed: int = 0) -> list[dict]:
         "solvers": lambda: suite_solvers(seed),
     }
     if which == "all":
-        out = []
-        for fn in suites.values():
-            out.extend(fn())
-        return out
+        return [r for fn in suites.values() for r in fn()]
     if which not in suites:
         raise ValueError(f"unknown suite {which!r}")
     return suites[which]()

@@ -201,15 +201,52 @@ def test_render_threshold_filters_bars(tmp_path):
     assert n_big <= n_all
 
 
-def test_seed_env_override_deterministic(tmp_path, monkeypatch):
+def test_solve_ignores_geneig_seed(tmp_path, monkeypatch):
+    # GENEIG_SEED seeds ``verify`` only: a solve is the same bit for bit
     path, _ = two_bar_grid_config(tmp_path)
-    monkeypatch.setenv("GENEIG_SEED", "1234")
-    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
-    first = json.loads((tmp_path / "grid.result.json").read_text())
-    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
-    second = json.loads((tmp_path / "grid.result.json").read_text())
-    assert first["report"]["x_final"] == second["report"]["x_final"]
-    assert first["report"]["obj_final"] == second["report"]["obj_final"]
+    monkeypatch.delenv("GENEIG_SEED", raising=False)
+    runs = []
+    for seed in (None, "1234"):
+        if seed is not None:
+            monkeypatch.setenv("GENEIG_SEED", seed)
+        assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+        result = json.loads((tmp_path / "grid.result.json").read_text())
+        runs.append((result["report"],
+                     (tmp_path / "grid.history.csv").read_text()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("overrides, literal, field", [
+    ({"volume": {"v0": "@", "constraint": "le"}}, "Infinity", "volume/v0"),
+    ({"eps": "@"}, "NaN", "eps"),
+    ({"nodes": [[0.0, 0.0], ["@", 0.0]]}, "1e400", "nodes/1/0"),
+])
+def test_non_finite_config_number_is_config_error(tmp_path, capsys, overrides,
+                                                  literal, field):
+    # json reads NaN, Infinity and an overflowing 1e400 (as inf)
+    path, _ = single_bar_config(tmp_path, **overrides)
+    path.write_text(path.read_text().replace('"@"', literal))
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert f"config error: invalid config field {field}" in out.err
+
+
+@pytest.mark.parametrize("solver", ["subgradient", "smoothed_apg"])
+def test_singular_exact_solve_is_typed_error(tmp_path, capsys, solver):
+    # at eps = 0 an iterate that leaves a mechanism makes K(x) singular
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "examples-configs",
+                           "truss_5x3_robust.json")) as fh:
+        cfg = json.load(fh)
+    cfg.pop("eps")
+    cfg.update(formulation="exact", solver={"name": solver})
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert "error: B(x) + eps*I is not positive definite" in out.err
 
 
 def test_verify_command(capsys):

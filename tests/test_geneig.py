@@ -14,6 +14,7 @@ from geneigopt.errors import (
     InvalidSmoothing,
     NotPositiveSemidefinite,
     OutOfDomain,
+    SingularDenominator,
 )
 from geneigopt.geneig import (
     AffinePencil,
@@ -292,6 +293,44 @@ def test_constant_pencil_matches_dense_zero_coefficients():
     held = [getattr(const, s) for s in AffinePencil.__slots__]
     assert all(np.size(h) < m * n * n for h in held
                if isinstance(h, np.ndarray))
+
+
+def test_level_pencil_and_scale():
+    rng = np.random.default_rng(43)
+    m, n, eps, alpha = 6, 4, 1e-3, 2.5
+    a = AffinePencil(np.diag(rng.uniform(0.0, 1.0, n)),
+                     [f @ f.T for f in rng.standard_normal((m, n, 2))])
+    b = AffinePencil(np.zeros((n, n)),
+                     [np.outer(g, g) for g in rng.standard_normal((m, n))])
+    q = rng.standard_normal((n, 1))
+    const = AffinePencil.constant_pencil(q @ q.T, m)
+    for num in (a, const):
+        level = num.level(b, alpha, eps)
+        assert level.nvars == m
+        for _ in range(3):
+            x = rng.uniform(0.0, 2.0, m)
+            v = rng.standard_normal(n)
+            want = num(x) - alpha * (b(x) + eps * np.eye(n))
+            assert np.allclose(level(x), want, rtol=0.0, atol=1e-12)
+            assert np.allclose(level.quad(v), num.quad(v) - alpha * b.quad(v),
+                               rtol=0.0, atol=1e-12)
+    # no coefficients on either side: the level pencil stores none either
+    assert const.level(const, alpha, eps).coeffs is None
+    assert a.scale() == float(np.max(np.abs(a.constant))) + \
+        float(np.max(np.abs(a.coeffs)))
+    assert b.scale(eps) == eps + float(np.max(np.abs(b.coeffs)))
+    assert const.scale() == float(np.max(np.abs(const.constant)))
+
+
+def test_singular_denominator_is_typed():
+    # B(x) is singular on the edge x2 = 0; at eps = 0 no Cholesky exists
+    a, b = two_bar_pencils()
+    for evaluate in (geneig._pencil_value_grad,
+                     lambda *args: geneig._smoothed_value_grad(*args, 0.1)):
+        with pytest.raises(SingularDenominator, match="not positive definite"):
+            evaluate(a, b, [1.0, 0.0], 0.0)
+    value = geneig._pencil_value_grad(a, b, [1.0, 0.0], 1e-9)[0]
+    assert abs(value - 1.0) < 1e-8
 
 
 def test_composite_value_grad_closed_form():

@@ -101,6 +101,9 @@ def test_phi_exact_examples():
     assert abs(phi_exact(wo, [2.0, 0.0]) - 1.0) < 1e-12
     assert abs(phi_exact(w, [0.5, 1.5]) - 3.0) < 1e-12
     assert math.isinf(phi_exact(w, [0.0, 2.0]))
+    # K(0) = 0: kernel escape with the non-structural mass, 0/0 without it
+    assert math.isinf(phi_exact(w, [0.0, 0.0]))
+    assert phi_exact(wo, [0.0, 0.0]) == 0.0
 
 
 def test_phi_at_origin():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from geneigopt import problems, solvers, truss
 from geneigopt.errors import BracketError
@@ -373,3 +374,37 @@ def test_solver_options_validation():
         SolverOptions(max_iters=0)
     with pytest.raises(ValueError):
         SolverOptions(initial_step=-1.0)
+
+
+def test_apg_solves_each_design_point_once(monkeypatch):
+    # one generalized eigensolve per iteration (at the extrapolated point)
+    # and one per backtracking trial: the accepted trial's eigenvalues give
+    # the true objective too
+    gs = truss.generate_ground_structure(
+        3, 2, 1.0, lambda ix, iy: "xy" if ix == 0 else "")
+    model = truss.build_model(gs, truss.Material(density=1.0),
+                              truss.grid_node_index(3, 2, 0),
+                              nonstructural_mass=1.0)
+    fs = FeasibleSet(l=model.volumes, v0=0.5, kind=problems.VOLUME_EQ)
+    spec = ProblemSpec(EIGENFREQUENCY, model, fs, eps=1e-6)
+    counts = {"eigh": 0, "project": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        counted("eigh", scipy.linalg.eigh))
+    monkeypatch.setattr(solvers, "project_feasible",
+                        counted("project", solvers.project_feasible))
+    iters = 20
+    rep = smoothed_apg(spec, None, SolverOptions(max_iters=iters,
+                                                 restart=False))
+    # without restarts every iteration projects its extrapolated point once
+    # and each backtracking trial its step once, after the start point
+    trials = counts["project"] - 1 - iters
+    assert trials >= iters and rep.iterations == iters
+    # plus the start point's value and the report's exact objective
+    assert counts["eigh"] == iters + trials + 2
