@@ -49,12 +49,7 @@ _SOLVER_SCHEMA = {
     "properties": {
         "name": {"enum": ["subgradient", "smoothed_apg", "bisection"]},
         "max_iters": {"type": "integer", "minimum": 1},
-        "step_rule": {"enum": [solvers.STEP_POLYAK, solvers.STEP_DIMINISHING,
-                               solvers.STEP_CONSTANT]},
-        "initial_step": {"type": "number", "exclusiveMinimum": 0},
         "smoothing_mu0": {"type": "number", "exclusiveMinimum": 0},
-        "mu_decay": {"enum": [solvers.MU_FIXED, solvers.MU_ONE_OVER_K]},
-        "restart": {"type": "boolean"},
         "tol_obj": {"type": "number", "exclusiveMinimum": 0},
         "seed": {"type": "integer"},
         "bisect_tol": {"type": "number", "exclusiveMinimum": 0},
@@ -155,12 +150,16 @@ _VALIDATOR = jsonschema.validators.extend(
     _Validator, type_checker=_TYPES)(CONFIG_SCHEMA)
 
 
-def load_config(path: str) -> dict:
+def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
+
+
+def load_config(path: str) -> dict:
+    cfg = _read_json(path, "config")
     exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
     if exc is not None:
         field = "/".join(str(p) for p in exc.absolute_path) or "(root)"
@@ -202,6 +201,10 @@ def build_from_config(cfg: dict):
     """Construct (ground structure, model, problem spec fragments)."""
     grid = cfg.get("grid")
     n_nodes = grid["nx"] * grid["ny"] if grid is not None else len(cfg["nodes"])
+    if grid is not None and n_nodes < 2:
+        raise ConfigError("grid: needs at least two nodes", field="grid")
+    if grid is None and not cfg["bars"]:
+        raise ConfigError("bars: needs at least one bar", field="bars")
     supports = [(_node_index(entry, "fixed_nodes", n_nodes, grid),
                  entry["dirs"]) for entry in cfg.get("fixed_nodes", [])]
 
@@ -221,18 +224,12 @@ def build_from_config(cfg: dict):
                     np.array_equal(nodes[a], nodes[b]):
                 raise ConfigError(f"bars: bar {j} has zero length or a node "
                                   f"outside 0..{n_nodes - 1}", field="bars")
-        fixed = set()
-        for node, dirs in supports:
-            if "x" in dirs:
-                fixed.add(2 * node)
-            if "y" in dirs:
-                fixed.add(2 * node + 1)
+        fixed = {2 * node + d for node, dirs in supports
+                 for d, axis in enumerate("xy") if axis in dirs}
         gs = truss.GroundStructure(nodes=nodes, bars=bars,
-                                   fixed_dofs=frozenset(fixed), spacing=1.0)
+                                   fixed_dofs=frozenset(fixed))
 
-    mat_cfg = cfg.get("material", {})
-    mat = truss.Material(young_modulus=mat_cfg.get("young_modulus", 1.0),
-                         density=mat_cfg.get("density", 0.0))
+    mat = truss.Material(**cfg.get("material", {}))
     load_entry = cfg.get("load_node")
     if load_entry is None:
         raise ConfigError("config requires 'load_node'", field="load_node")
@@ -262,10 +259,9 @@ def problem_from_config(cfg: dict, model, eps: float | None = None):
 
 
 def solver_options_from_config(cfg: dict) -> SolverOptions:
-    s = dict(cfg.get("solver", {}))
-    s.pop("name", None)
-    s.pop("seed", None)  # accepted for old configs; every solver is deterministic
-    return SolverOptions(**s)
+    # ``seed`` is accepted for old configs; every solver is deterministic
+    return SolverOptions(**{k: v for k, v in cfg.get("solver", {}).items()
+                            if k not in ("name", "seed")})
 
 
 def result_record(cfg: dict, gs, model, report, wall_time: float) -> dict:
@@ -389,10 +385,15 @@ def _dispatch_solve(cfg: dict, config_path: str, mode: str) -> int:
         if not schedule:
             raise ConfigError("sweep-eps requires 'eps_schedule'",
                               field="eps_schedule")
+        if any(b >= a for a, b in zip(schedule, schedule[1:])):
+            raise ConfigError("eps_schedule: must be strictly decreasing",
+                              field="eps_schedule")
+        if solver_name == "bisection":
+            raise ConfigError("solver/name: sweep-eps runs subgradient or "
+                              "smoothed_apg, not bisection", field="solver/name")
         spec = problem_from_config(cfg, model, eps=schedule[0])
-        method = "smoothed_apg" if solver_name == "smoothed_apg" \
-            else "subgradient"
-        reports = solvers.eps_continuation(spec, schedule, opts, method=method)
+        reports = solvers.eps_continuation(spec, schedule, opts,
+                                           method=solver_name)
         final = reports[-1]
     elif mode == "bisect" or solver_name == "bisection":
         spec = problem_from_config(cfg, model)
@@ -442,10 +443,12 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
             return _dispatch_solve(cfg, args.config, args.command)
         if args.command == "render":
-            with open(args.result) as fh:
-                result = json.load(fh)
+            result = _read_json(args.result, "result")
             out = args.out or os.path.splitext(args.result)[0] + ".svg"
-            render_svg(result, out, args.threshold)
+            try:
+                render_svg(result, out, args.threshold)
+            except (KeyError, TypeError, IndexError, ValueError) as exc:
+                raise ConfigError(f"{args.result} is not a result: {exc!r}")
             print(f"wrote {out}")
             return EXIT_OK
         if args.command == "verify":

@@ -66,7 +66,7 @@ class AffinePencil:
 
     __slots__ = ("constant", "coeffs", "nvars")
 
-    def __init__(self, constant, coefficients, *, check_psd=True,
+    def __init__(self, constant, coefficients, *,
                  tol: TolerancePolicy = DEFAULT_TOL):
         a0 = as_symmetric(constant)
         coeffs = None
@@ -76,8 +76,7 @@ class AffinePencil:
                 raise ValueError("pencil matrices must share one dimension")
             coeffs = raw + raw.swapaxes(1, 2)
             coeffs *= 0.5
-            if check_psd:
-                _check_psd_stack(coeffs, tol)
+            _require_psd_stack(coeffs, tol)
         self.constant = a0
         self.coeffs = coeffs
         self.nvars = 0 if coeffs is None else coeffs.shape[0]
@@ -132,7 +131,7 @@ class AffinePencil:
         return pencil
 
 
-def _check_psd_stack(coeffs: np.ndarray, tol: TolerancePolicy):
+def _require_psd_stack(coeffs: np.ndarray, tol: TolerancePolicy):
     """``symmat.is_psd`` on each matrix of a stack, in one batched eigvalsh;
     raises ``InvalidMatrix``, else ``NotPositiveSemidefinite``, naming the
     first bad coefficient (each scaled by its own ``1 + max|C_j|``)."""

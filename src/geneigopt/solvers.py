@@ -2,12 +2,12 @@
 
 Three routes to a minimizer:
 
-* projected subgradient on the epsilon-regularized objective (the default
-  step rule is an adaptive Polyak level scheme, which exploits sharpness of
-  the max-eigenvalue objectives and reaches far tighter accuracy than a
-  1/sqrt(k) schedule);
+* projected subgradient on the epsilon-regularized objective, stepping by an
+  adaptive Polyak level scheme, which exploits sharpness of the
+  max-eigenvalue objectives;
 * an accelerated projected gradient method on a log-sum-exp smoothing of the
-  objective, with a decreasing smoothing parameter and optional restarts;
+  objective, with smoothing parameter mu0/(k+1) and a restart whenever the
+  objective rises;
 * global bisection on the objective level alpha, deciding feasibility of the
   convex sublevel set {x : alpha*B(x) - A(x) >= 0} by minimizing the maximum
   eigenvalue of the affine map A(x) - alpha*B(x) over the feasible set.
@@ -32,12 +32,6 @@ from .problems import FeasibleSet, ProblemSpec
 #: Bars below this fraction of the largest area count as removed.
 DISPLAY_THRESHOLD = 1e-6
 
-STEP_DIMINISHING = "diminishing_over_sqrt_k"
-STEP_CONSTANT = "constant_over_norm"
-STEP_POLYAK = "polyak_level"
-MU_FIXED = "fixed"
-MU_ONE_OVER_K = "one_over_k"
-
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -46,27 +40,22 @@ class SolverOptions:
     * ``max_iters``: ``projected_subgradient``'s budget; ``smoothed_apg``
       always runs all of them; ``bisection_global`` caps its subgradient
       warm start at 4000 and each level's feasibility search at 1000.
-    * ``step_rule``, ``initial_step`` (non-Polyak rules), ``tol_obj`` (the
-      Polyak rule's stop): ``projected_subgradient`` and the warm start.
-    * ``smoothing_mu0``, ``mu_decay``, ``restart``: ``smoothed_apg``, which
+    * ``tol_obj`` (the Polyak level's stop): ``projected_subgradient`` and
+      the warm start.
+    * ``smoothing_mu0`` (mu_k = mu0 / (k + 1)): ``smoothed_apg``, which
       ignores ``tol_obj``.  ``bisect_tol``: ``bisection_global``.
     """
 
     max_iters: int = 5000
-    step_rule: str = STEP_POLYAK
-    initial_step: float = 1.0
     smoothing_mu0: float = 1e-2
-    mu_decay: str = MU_ONE_OVER_K
-    restart: bool = True
     tol_obj: float = 1e-10
     bisect_tol: float = 1e-8
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if min(self.initial_step, self.smoothing_mu0, self.tol_obj,
-               self.bisect_tol) <= 0:
-            raise ValueError("steps and tolerances must be positive")
+        if min(self.smoothing_mu0, self.tol_obj, self.bisect_tol) <= 0:
+            raise ValueError("smoothing and tolerances must be positive")
 
 
 @dataclass
@@ -187,31 +176,24 @@ def projected_subgradient(spec: ProblemSpec, x0=None,
             termination = "obj_tol"
             break
 
-        if opts.step_rule == STEP_DIMINISHING:
-            t = opts.initial_step / (math.sqrt(k + 1.0) * gnorm)
-        elif opts.step_rule == STEP_CONSTANT:
-            t = opts.initial_step / gnorm
-        elif opts.step_rule == STEP_POLYAK:
-            if delta is None:
-                delta = max(0.1 * (abs(f) + 1.0), opts.tol_obj)
-                anchor_f = best_f
-            floor = opts.tol_obj * (1.0 + abs(best_f))
-            if best_f <= anchor_f - 0.2 * delta:
-                anchor_f = best_f
-                stall = 0
-            else:
-                stall += 1
-            if stall > 60:
-                stall = 0
-                anchor_f = best_f
-                if delta <= floor:
-                    termination = "obj_tol"
-                    break
-                delta = max(0.5 * delta, floor)
-            target = best_f - delta
-            t = max(f - target, 0.0) / (gnorm * gnorm)
+        if delta is None:
+            delta = max(0.1 * (abs(f) + 1.0), opts.tol_obj)
+            anchor_f = best_f
+        floor = opts.tol_obj * (1.0 + abs(best_f))
+        if best_f <= anchor_f - 0.2 * delta:
+            anchor_f = best_f
+            stall = 0
         else:
-            raise ValueError(f"unknown step rule {opts.step_rule!r}")
+            stall += 1
+        if stall > 60:
+            stall = 0
+            anchor_f = best_f
+            if delta <= floor:
+                termination = "obj_tol"
+                break
+            delta = max(0.5 * delta, floor)
+        target = best_f - delta
+        t = max(f - target, 0.0) / (gnorm * gnorm)
         x = project_feasible(x - t * g, fs)
 
     return _report(spec, best_x, best_f, history, iters, termination)
@@ -221,9 +203,10 @@ def smoothed_apg(spec: ProblemSpec, x0=None,
                  opts: SolverOptions = SolverOptions()) -> SolveReport:
     """Accelerated projected gradient on the log-sum-exp smoothed objective.
 
-    The smoothing parameter follows opts.mu_decay; the best iterate is
-    tracked by the true (unsmoothed) regularized objective, read from the
-    same eigenvalues as the accepted step's smoothed value.
+    The smoothing parameter is mu0 / (k + 1), and the momentum restarts
+    whenever the objective rises; the best iterate is tracked by the true
+    (unsmoothed) regularized objective, read from the same eigenvalues as
+    the accepted step's smoothed value.
     """
     pa, pb = spec.objective_pencils()
     fs = spec.feasible
@@ -237,10 +220,7 @@ def smoothed_apg(spec: ProblemSpec, x0=None,
     history: list[tuple[int, float]] = [(0, best_f)]
 
     for k in range(opts.max_iters):
-        if opts.mu_decay == MU_ONE_OVER_K:
-            mu = opts.smoothing_mu0 / (k + 1.0)
-        else:
-            mu = opts.smoothing_mu0
+        mu = opts.smoothing_mu0 / (k + 1.0)
         fy, gy = _smoothed_value_grad(pa, pb, y, spec.eps, mu)
         # Backtracking on the smoothed model.
         for _ in range(60):
@@ -259,7 +239,7 @@ def smoothed_apg(spec: ProblemSpec, x0=None,
             best_f = f_true
             best_x = x_new.copy()
 
-        if opts.restart and f_true > prev_f:
+        if f_true > prev_f:
             theta = 1.0
             y = x_new.copy()
         else:

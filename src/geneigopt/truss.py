@@ -30,7 +30,6 @@ class GroundStructure:
     nodes: np.ndarray          # (N, 2) coordinates in meters
     bars: np.ndarray           # (M, 2) node index pairs, a < b
     fixed_dofs: frozenset[int]
-    spacing: float
 
     @property
     def n_nodes(self) -> int:
@@ -72,13 +71,10 @@ class TrussModel:
     to member volumes (bar lengths, m^3 per unit area).
     """
 
-    structure: GroundStructure
-    material: Material
     k_pencil: AffinePencil
     m_pencil: AffinePencil
     volumes: np.ndarray
     q_matrix: np.ndarray
-    nonstructural_mass: float
     load_node: int
 
     @property
@@ -122,8 +118,7 @@ def generate_ground_structure(nx: int, ny: int, spacing: float,
                          if axis in dirs)
     if len(fixed) >= 2 * nx * ny:
         raise NoFreeDofs("every DOF is restrained")
-    return GroundStructure(nodes=nodes, bars=bars,
-                           fixed_dofs=frozenset(fixed), spacing=spacing)
+    return GroundStructure(nodes=nodes, bars=bars, fixed_dofs=frozenset(fixed))
 
 
 def build_model(gs: GroundStructure, mat: Material, load_node: int,
@@ -173,16 +168,9 @@ def build_model(gs: GroundStructure, mat: Material, load_node: int,
     q = np.zeros((n, load_dims))
     q[load[:load_dims], np.arange(load_dims)] = load_scale
 
-    return TrussModel(
-        structure=gs,
-        material=mat,
-        k_pencil=AffinePencil(np.zeros((n, n)), k_coeffs),
-        m_pencil=AffinePencil(m0, m_coeffs),
-        volumes=lengths,
-        q_matrix=q,
-        nonstructural_mass=nonstructural_mass,
-        load_node=load_node,
-    )
+    return TrussModel(k_pencil=AffinePencil(np.zeros((n, n)), k_coeffs),
+                      m_pencil=AffinePencil(m0, m_coeffs), volumes=lengths,
+                      q_matrix=q, load_node=load_node)
 
 
 def uniform_feasible_design(model, v0: float) -> np.ndarray:

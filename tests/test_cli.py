@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import dataclasses
 import json
 import math
 import os
@@ -109,6 +110,7 @@ def test_solve_all_dofs_fixed_is_config_error(tmp_path):
       "bars": [[0, 1], [0, 7]]}, "bars"),
     ({"fixed_nodes": [{"node": 5, "dirs": "xy"}]}, "fixed_nodes"),
     ({"load_node": {"node": 2}}, "load_node"),
+    ({"bars": []}, "bars"),
 ])
 def test_bad_explicit_geometry_is_config_error(tmp_path, capsys, overrides,
                                                field):
@@ -126,6 +128,7 @@ def test_bad_explicit_geometry_is_config_error(tmp_path, capsys, overrides,
     (two_bar_grid_config,
      {"fixed_nodes": [{"ix": 0, "iy": 2, "dirs": "xy"}]}, "fixed_nodes"),
     (single_bar_config, {"load_node": {"ix": 1, "iy": 5}}, "load_node"),
+    (two_bar_grid_config, {"grid": {"nx": 1, "ny": 1, "spacing": 1.0}}, "grid"),
 ])
 def test_bad_node_reference_is_config_error(tmp_path, capsys, make, overrides,
                                             field):
@@ -161,6 +164,39 @@ def test_sweep_eps(tmp_path):
     # 1/(2+eps) rises toward 0.5
     assert objs == sorted(objs)
     assert abs(objs[-1] - 0.5) < 1e-3
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"eps_schedule": [1e-3, 1e-2]}, "eps_schedule"),
+    ({"eps_schedule": [1e-2, 1e-2]}, "eps_schedule"),
+    ({"eps_schedule": [1e-2, 1e-4], "solver": {"name": "bisection"}},
+     "solver/name"),
+])
+def test_bad_sweep_is_config_error(tmp_path, capsys, overrides, field):
+    path, _ = single_bar_config(tmp_path, **overrides)
+    assert cli.main(["sweep-eps", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert f"config error: {field}" in out.err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("step_rule", "diminishing_over_sqrt_k"), ("initial_step", 0.1),
+    ("mu_decay", "fixed"), ("restart", False),
+])
+def test_removed_solver_option_is_config_error(tmp_path, capsys, key, value):
+    path, _ = single_bar_config(
+        tmp_path, solver={"name": "subgradient", key: value})
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert "config error: invalid config field solver" in out.err
+    assert repr(key) in out.err
+
+
+def test_solver_schema_matches_solver_options():
+    names = {f.name for f in dataclasses.fields(cli.SolverOptions)}
+    assert set(cli._SOLVER_SCHEMA["properties"]) == names | {"name", "seed"}
 
 
 def test_bisect_grid_model(tmp_path):
@@ -199,6 +235,18 @@ def test_render_threshold_filters_bars(tmp_path):
     cli.render_svg(result, str(out2), display_threshold=0.5)
     n_big = sum(1 for k in ET.parse(out2).getroot() if k.tag.endswith("line"))
     assert n_big <= n_all
+
+
+@pytest.mark.parametrize("kind", ["missing", "config"])
+def test_render_bad_result_is_typed_error(tmp_path, capsys, kind):
+    path, _ = single_bar_config(tmp_path)
+    if kind == "missing":
+        path = tmp_path / "missing.result.json"
+    assert cli.main(["render", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert out.err.startswith("config error: ") and out.err.count("\n") == 1
+    assert str(path) in out.err
 
 
 def test_solve_ignores_geneig_seed(tmp_path, monkeypatch):

@@ -283,7 +283,7 @@ def test_constant_pencil_matches_dense_zero_coefficients():
     b = AffinePencil(np.zeros((n, n)),
                      [np.outer(g, g) for g in rng.standard_normal((m, n))])
     const = AffinePencil.constant_pencil(q @ q.T, m)
-    dense = AffinePencil(q @ q.T, np.zeros((m, n, n)), check_psd=False)
+    dense = AffinePencil(q @ q.T, np.zeros((m, n, n)))
     for _ in range(5):
         x = rng.uniform(0.1, 2.0, m)
         got = composite_value_grad(const, b, x, 1e-3)

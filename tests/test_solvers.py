@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from geneigopt import problems, solvers, truss
+from geneigopt import geneig, problems, solvers, truss
 from geneigopt.errors import BracketError
 from geneigopt.geneig import AffinePencil
 from geneigopt.problems import (
@@ -20,8 +20,6 @@ from geneigopt.problems import (
     robust_two_bar_model,
 )
 from geneigopt.solvers import (
-    STEP_CONSTANT,
-    STEP_DIMINISHING,
     SolverOptions,
     bisection_global,
     eps_continuation,
@@ -200,16 +198,15 @@ def test_subgradient_two_bar_robust():
     assert abs(rep.obj_final - 0.5) <= 1e-3
 
 
-def test_subgradient_alternative_step_rules_make_progress():
+def test_subgradient_from_given_start_reaches_closed_form():
+    # the Polyak level step from an off-centre start
     spec = ProblemSpec(EIGENFREQUENCY, demo_model_without_mass(),
                        TWO_BAR_EQ, eps=0.01)
-    start = np.array([0.5, 1.5])
-    f0 = 2.0 * 1.5 / 1.51
-    for rule in (STEP_DIMINISHING, STEP_CONSTANT):
-        rep = projected_subgradient(
-            spec, start, SolverOptions(max_iters=2000, step_rule=rule,
-                                       initial_step=0.1))
-        assert rep.obj_final < f0 - 0.1
+    rep = projected_subgradient(spec, np.array([0.5, 1.5]),
+                                SolverOptions(max_iters=2000))
+    best = eps_minimizer_no_mass(0.01)
+    assert np.max(np.abs(rep.x_final - best)) <= 1e-9
+    assert abs(rep.obj_final - best[0] / (best[0] + 0.01)) <= 1e-12
 
 
 def test_subgradient_history_is_monotone_best():
@@ -248,15 +245,17 @@ def test_apg_single_bar_is_trivial():
     assert np.allclose(rep.x_final, [1.5])
 
 
-def test_apg_fixed_mu_stays_within_smoothing_gap():
+def test_apg_decaying_mu_stays_within_last_smoothing_gap():
+    # mu_k = mu0 / (k + 1): the record is within the last mu's gap mu log n
     spec = ProblemSpec(EIGENFREQUENCY, demo_model_without_mass(),
                        TWO_BAR_EQ, eps=0.01)
-    mu = 1e-3
-    rep = smoothed_apg(spec, None, SolverOptions(
-        max_iters=2000, smoothing_mu0=mu, mu_decay=solvers.MU_FIXED))
+    mu0, iters = 1e-3, 2000
+    rep = smoothed_apg(spec, np.array([0.5, 1.5]), SolverOptions(
+        max_iters=iters, smoothing_mu0=mu0))
     best = eps_minimizer_no_mass(0.01)
     f_star = best[0] / (best[0] + 0.01)
-    assert rep.obj_final <= f_star + mu * math.log(2) + 1e-6
+    assert f_star - 1e-12 <= rep.obj_final <= f_star + mu0 / iters * math.log(2)
+    assert np.max(np.abs(rep.x_final - best)) <= 1e-6
 
 
 # ------------------------------------------------------------------- bisection
@@ -373,7 +372,7 @@ def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(max_iters=0)
     with pytest.raises(ValueError):
-        SolverOptions(initial_step=-1.0)
+        SolverOptions(smoothing_mu0=-1.0)
 
 
 def test_apg_solves_each_design_point_once(monkeypatch):
@@ -387,7 +386,7 @@ def test_apg_solves_each_design_point_once(monkeypatch):
                               nonstructural_mass=1.0)
     fs = FeasibleSet(l=model.volumes, v0=0.5, kind=problems.VOLUME_EQ)
     spec = ProblemSpec(EIGENFREQUENCY, model, fs, eps=1e-6)
-    counts = {"eigh": 0, "project": 0}
+    counts = {"eigh": 0, "lse": 0}
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -397,14 +396,14 @@ def test_apg_solves_each_design_point_once(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh",
                         counted("eigh", scipy.linalg.eigh))
-    monkeypatch.setattr(solvers, "project_feasible",
-                        counted("project", solvers.project_feasible))
+    lse = counted("lse", geneig._log_sum_exp)
+    monkeypatch.setattr(geneig, "_log_sum_exp", lse)
+    monkeypatch.setattr(solvers, "_log_sum_exp", lse)
     iters = 20
-    rep = smoothed_apg(spec, None, SolverOptions(max_iters=iters,
-                                                 restart=False))
-    # without restarts every iteration projects its extrapolated point once
-    # and each backtracking trial its step once, after the start point
-    trials = counts["project"] - 1 - iters
+    rep = smoothed_apg(spec, None, SolverOptions(max_iters=iters))
+    # every iteration smooths its extrapolated point once and each
+    # backtracking trial its step once
+    trials = counts["lse"] - iters
     assert trials >= iters and rep.iterations == iters
     # plus the start point's value and the report's exact objective
     assert counts["eigh"] == iters + trials + 2

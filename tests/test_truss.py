@@ -125,8 +125,9 @@ def test_assembly_bit_identical_to_loop_oracle(path):
         assert np.array_equal(gs.nodes, cfg["nodes"])
         assert np.array_equal(gs.bars, cfg["bars"])
     expected = loop_build_model(
-        gs, model.material, model.load_node, cfg.get("load_scale", 1.0),
-        model.nonstructural_mass, cfg.get("load_dims", 2))
+        gs, Material(**cfg.get("material", {})), model.load_node,
+        cfg.get("load_scale", 1.0), cfg.get("nonstructural_mass", 0.0),
+        cfg.get("load_dims", 2))
     got = model_arrays(model)
     for key, want in expected.items():
         assert got[key].dtype == want.dtype and np.array_equal(got[key], want), key
@@ -145,7 +146,7 @@ def test_assembly_matches_loop_oracle_on_irregular_geometry():
         fixed = {d for d in range(2 * n_nodes)
                  if d // 2 != load_node and rng.random() < 0.3}
         gs = GroundStructure(nodes=nodes, bars=bars,
-                             fixed_dofs=frozenset(fixed), spacing=1.0)
+                             fixed_dofs=frozenset(fixed))
         mat = Material(rng.uniform(0.5, 2.0), rng.uniform(0.0, 3.0))
         args = (rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0),
                 int(rng.integers(1, 3)))
@@ -176,8 +177,7 @@ def test_material_validation():
 def single_bar_structure():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0]])
     bars = np.array([[0, 1]])
-    return GroundStructure(nodes=nodes, bars=bars, fixed_dofs=frozenset(),
-                           spacing=1.0)
+    return GroundStructure(nodes=nodes, bars=bars, fixed_dofs=frozenset())
 
 
 def test_single_bar_stiffness_rank_one():
@@ -192,7 +192,7 @@ def test_single_bar_stiffness_rank_one():
 def test_stiffness_scales_with_modulus_and_length():
     nodes = np.array([[0.0, 0.0], [2.0, 0.0]])
     gs = GroundStructure(nodes=nodes, bars=np.array([[0, 1]]),
-                         fixed_dofs=frozenset({0, 1}), spacing=2.0)
+                         fixed_dofs=frozenset({0, 1}))
     model = build_model(gs, Material(young_modulus=3.0), load_node=1)
     # E/L = 1.5 on the free DOFs of node 1
     assert np.allclose(model.k_pencil.coeffs[0],
