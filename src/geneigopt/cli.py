@@ -294,6 +294,14 @@ def result_record(cfg: dict, gs, model, report, wall_time: float) -> dict:
     }
 
 
+def _require_parent_dir(path: str, field: str):
+    """Fail before the solve, not at write time, on a missing directory."""
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise ConfigError(f"{field}: directory {parent} does not exist",
+                          field=field)
+
+
 def _write_result(record: dict, reports, cfg: dict, config_path: str):
     out = cfg.get("output", {})
     base, _ = os.path.splitext(config_path)
@@ -375,6 +383,8 @@ def render_svg(result: dict, out_path: str,
 
 
 def _dispatch_solve(cfg: dict, config_path: str, mode: str) -> int:
+    for key, path in cfg.get("output", {}).items():
+        _require_parent_dir(path, f"output/{key}")
     gs, model = build_from_config(cfg)
     opts = solver_options_from_config(cfg)
     solver_name = cfg.get("solver", {}).get("name", "subgradient")
@@ -445,6 +455,7 @@ def main(argv=None) -> int:
         if args.command == "render":
             result = _read_json(args.result, "result")
             out = args.out or os.path.splitext(args.result)[0] + ".svg"
+            _require_parent_dir(out, "-o")
             try:
                 render_svg(result, out, args.threshold)
             except (KeyError, TypeError, IndexError, ValueError) as exc:

@@ -149,8 +149,8 @@ def _require_psd_pair(x, y, tol: TolerancePolicy, *, split: bool = False):
     """Symmetric X and Y of one shape, both checked PSD; returns (X, Y, split).
 
     With ``split``, Y is checked by its ``symmat.psd_split``, returned for
-    the caller's kernel and range queries; otherwise, like X, by its
-    eigenvalues only, which is cheaper, and the split is None.
+    the caller's kernel and range queries; otherwise, like X, by
+    ``symmat.is_psd``, which is cheaper, and the split is None.
     """
     a = as_symmetric(x)
     b = as_symmetric(y)
@@ -159,81 +159,74 @@ def _require_psd_pair(x, y, tol: TolerancePolicy, *, split: bool = False):
     if not symmat.is_psd(a, tol):
         raise NotPositiveSemidefinite("first matrix is not PSD")
     b_split = symmat.psd_split(b, tol) if split else None
-    b_psd = b_split.is_psd if split else symmat.is_psd(b, tol)
-    if not b_psd:
+    if not (b_split.is_psd if split else symmat.is_psd(b, tol)):
         raise NotPositiveSemidefinite("second matrix is not PSD")
     return a, b, b_split
-
-
-def _is_zero(a: np.ndarray, tol: TolerancePolicy) -> bool:
-    return float(np.max(np.abs(a))) <= tol.psd_tol
 
 
 def lambda_max_ext(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> GenEigResult:
     """Extended maximum generalized eigenvalue of a PSD pair.
 
-    Returns 0 for the (0, 0) pair, +inf when a kernel direction of Y lies
-    outside the kernel of X, and otherwise the top eigenvalue of the pencil
-    reduced to the orthogonal complement of ker Y.
+    Returns +inf when a kernel direction of Y escapes the kernel of X, else
+    0 when Y is numerically zero (0/0), else the top eigenvalue of the
+    pencil reduced to the range of Y.  X is rotated once into the
+    eigenvectors V = [U, V_r] of Y, C = V'XV: the escape norms are the
+    column norms of C[:, U], and LAPACK computes only the top pair (value,
+    z) of (C_rr, V_r'YV_r).  v = V_r z has v'Yv = 1 and Xv = value * Yv.
     """
-    a, b, b_split = _require_psd_pair(x, y, tol, split=True)
-    if _is_zero(b, tol):
-        if _is_zero(a, tol):
-            return GenEigResult(0.0, None, Certificate.ZERO_ZERO)
+    a, b, split = _require_psd_pair(x, y, tol, split=True)
+    k = symmat.kernel_basis(split).shape[1]
+    c = split.basis.T @ a @ split.basis
+    escape = np.linalg.norm(c[:, :k], axis=0)
+    if np.any(escape > tol.kernel_tol * (1.0 + float(np.max(np.abs(a))))):
         return GenEigResult(math.inf, None, Certificate.KERNEL_ESCAPE)
-
-    kernel = symmat.kernel_basis(b_split)
-    if kernel.shape[1]:
-        escape = np.linalg.norm(a @ kernel, axis=0)
-        if np.any(escape > tol.kernel_tol * (1.0 + float(np.max(np.abs(a))))):
-            return GenEigResult(math.inf, None, Certificate.KERNEL_ESCAPE)
-
-    v_range = symmat.range_basis(b_split)
-    a_red = v_range.T @ a @ v_range
-    b_red = v_range.T @ b @ v_range
-    w, vecs = scipy.linalg.eigh(0.5 * (a_red + a_red.T), 0.5 * (b_red + b_red.T))
-    value = max(float(w[-1]), 0.0)
-    eigvec = v_range @ vecs[:, -1]
-    return GenEigResult(value, eigvec, Certificate.REDUCED_PENCIL)
+    r = split.range
+    top = r.shape[1] - 1
+    if top < 0:
+        return GenEigResult(0.0, None, Certificate.ZERO_ZERO)
+    w, z = scipy.linalg.eigh(c[k:, k:], r.T @ b @ r, subset_by_index=[top, top])
+    return GenEigResult(max(float(w[0]), 0.0), r @ z[:, 0],
+                        Certificate.REDUCED_PENCIL)
 
 
 def lambda_min_ext(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     """Extended minimum generalized eigenvalue: sup{a >= 0 | X - aY >= 0}.
 
-    Returns +inf when Y = 0.  Otherwise the value equals the infimum of the
-    quotient v'Xv / v'Yv over v outside ker Y, where the minimization over
-    the ker-Y component of v replaces the X block by its Schur complement.
+    Returns +inf when Y is numerically zero.  Otherwise the value equals
+    the infimum of the quotient v'Xv / v'Yv over v outside ker Y: with C as
+    in ``lambda_max_ext``, the bottom eigenvalue alone of (S, V_r'YV_r) for
+    S the Schur complement of C's kernel block (the minimization over the
+    ker-Y component of v).
     """
-    a, b, b_split = _require_psd_pair(x, y, tol, split=True)
-    if _is_zero(b, tol):
+    a, b, split = _require_psd_pair(x, y, tol, split=True)
+    k = symmat.kernel_basis(split).shape[1]
+    r = split.range
+    if r.shape[1] == 0:
         return math.inf
-
-    r = symmat.range_basis(b_split)
-    u = symmat.kernel_basis(b_split)
-    a_rr = r.T @ a @ r
-    if u.shape[1]:
-        a_ru = r.T @ a @ u
-        a_uu = u.T @ a @ u
+    c = split.basis.T @ a @ split.basis
+    if k:
         # min over the free ker-Y component: Schur complement with a
         # pseudo-inverse (directions in ker Y inside ker X contribute nothing)
-        a_rr = a_rr - a_ru @ np.linalg.pinv(a_uu, hermitian=True,
-                                            rcond=tol.kernel_tol) @ a_ru.T
-    b_rr = r.T @ b @ r
-    w = scipy.linalg.eigh(0.5 * (a_rr + a_rr.T), 0.5 * (b_rr + b_rr.T),
-                          eigvals_only=True)
+        c_ru = c[k:, :k]
+        c[k:, k:] -= c_ru @ np.linalg.pinv(c[:k, :k], hermitian=True,
+                                           rcond=tol.kernel_tol) @ c_ru.T
+    w = scipy.linalg.eigh(c[k:, k:], r.T @ b @ r, eigvals_only=True,
+                          subset_by_index=[0, 0])
     return max(float(w[0]), 0.0)
 
 
 def lambda_max_eps(x, y, eps: float,
                    tol: TolerancePolicy = DEFAULT_TOL) -> GenEigResult:
-    """Top eigenvalue of the regularized definite pencil (X, Y + eps*I)."""
+    """Top eigenpair, alone, of the regularized definite pencil
+    (X, Y + eps*I); the eigenvector v has v'(Y + eps*I)v = 1."""
     if eps <= 0:
         raise InvalidEpsilon(f"eps must be positive, got {eps}")
     a, b, _ = _require_psd_pair(x, y, tol)
-    b_reg = b + eps * np.eye(b.shape[0])
-    w, vecs = scipy.linalg.eigh(a, b_reg)
-    value = max(float(w[-1]), 0.0)
-    return GenEigResult(value, vecs[:, -1], Certificate.REDUCED_PENCIL)
+    n = a.shape[0]
+    w, vecs = scipy.linalg.eigh(a, b + eps * np.eye(n),
+                                subset_by_index=[n - 1, n - 1])
+    return GenEigResult(max(float(w[0]), 0.0), vecs[:, 0],
+                        Certificate.REDUCED_PENCIL)
 
 
 def rayleigh_sup_oracle(x, y, samples: int, seed: int,
@@ -245,20 +238,14 @@ def rayleigh_sup_oracle(x, y, samples: int, seed: int,
     seed, and always at most the exact extended value.
     """
     a, b, _ = _require_psd_pair(x, y, tol)
-    if _is_zero(b, tol):
+    if float(np.max(np.abs(b))) <= tol.psd_tol:
         raise DegeneratePair("denominator matrix is zero")
-    rng = np.random.default_rng(seed)
-    n = a.shape[0]
-    best = 0.0
-    cutoff = tol.kernel_tol
-    vs = rng.standard_normal((samples, n))
+    vs = np.random.default_rng(seed).standard_normal((samples, a.shape[0]))
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     num = np.einsum("ij,jk,ik->i", vs, a, vs)
     den = np.einsum("ij,jk,ik->i", vs, b, vs)
-    keep = den > cutoff
-    if np.any(keep):
-        best = max(best, float(np.max(num[keep] / den[keep])))
-    return best
+    keep = den > tol.kernel_tol
+    return float(np.max(num[keep] / den[keep], initial=0.0))
 
 
 def _pencil_eigh(pa: AffinePencil, pb: AffinePencil, x, eps: float):

@@ -5,7 +5,7 @@ kernel bases.  Everything here is a pure function of its inputs; matrices are
 small and dense, so a single full eigendecomposition serves all queries:
 ``psd_split`` gives the PSD verdict, the kernel basis and the range basis from
 one ``eigh``, and ``kernel_basis``/``range_basis`` accept its result in place
-of the matrix.  ``is_psd`` alone needs only the eigenvalues.
+of the matrix.  ``is_psd`` alone needs only a Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -93,28 +93,38 @@ def eig_sym(x) -> Spectrum:
 
 
 def is_psd(x, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
-    """Test ``x >= 0`` (in the semidefinite order) under the tolerance policy."""
+    """Test ``x >= 0`` (in the semidefinite order) under the tolerance policy:
+    ``lambda_min >= -t``, t = ``psd_tol * (1 + max|entry|)``, decided by a
+    Cholesky factorization of ``x + t*I``.  Within about ``n * roundoff *
+    ||x||`` of ``-t`` rounding decides (at ``psd_tol = 0``, a singular ``x``
+    may fail)."""
     a = as_symmetric(x)
     _check_finite(a)
-    lam_min = float(np.linalg.eigvalsh(a)[0])
-    scale = 1.0 + float(np.max(np.abs(a)))
-    return lam_min >= -tol.psd_tol * scale
+    shift = tol.psd_tol * (1.0 + float(np.max(np.abs(a))))
+    try:
+        np.linalg.cholesky(a + shift * np.eye(a.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
 class PsdSplit:
-    """PSD verdict plus orthonormal kernel and range bases of one matrix."""
+    """PSD verdict and orthonormal eigenvectors ``basis`` (ascending) of one
+    matrix: the ``kernel`` columns, then the ``range`` columns."""
 
     is_psd: bool
     kernel: np.ndarray
     range: np.ndarray
+    basis: np.ndarray
 
 
 def psd_split(x, tol: TolerancePolicy = DEFAULT_TOL) -> PsdSplit:
     """PSD verdict, kernel basis and range basis from one eigendecomposition.
 
-    The thresholds are those of ``is_psd`` and ``kernel_basis``, both scaled
-    by ``1 + max|entry|``.  A ``PsdSplit`` passed in is returned as is.
+    The thresholds are those of ``is_psd`` (here read off the eigenvalues)
+    and ``kernel_basis``, both scaled by ``1 + max|entry|``.  A ``PsdSplit``
+    passed in is returned as is.
     """
     if isinstance(x, PsdSplit):
         return x
@@ -122,9 +132,9 @@ def psd_split(x, tol: TolerancePolicy = DEFAULT_TOL) -> PsdSplit:
     _check_finite(a)
     w, v = np.linalg.eigh(a)
     scale = 1.0 + float(np.max(np.abs(a)))
-    in_kernel = w <= tol.kernel_tol * scale
+    nullity = int(np.searchsorted(w, tol.kernel_tol * scale, side="right"))
     return PsdSplit(is_psd=bool(w[0] >= -tol.psd_tol * scale),
-                    kernel=v[:, in_kernel], range=v[:, ~in_kernel])
+                    kernel=v[:, :nullity], range=v[:, nullity:], basis=v)
 
 
 def _require_psd_split(x, tol: TolerancePolicy, caller: str) -> PsdSplit:

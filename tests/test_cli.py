@@ -249,6 +249,37 @@ def test_render_bad_result_is_typed_error(tmp_path, capsys, kind):
     assert str(path) in out.err
 
 
+@pytest.mark.parametrize("key", ["result", "history", "svg"])
+def test_output_in_missing_directory_is_config_error(tmp_path, capsys,
+                                                     monkeypatch, key):
+    path, _ = single_bar_config(
+        tmp_path, output={key: str(tmp_path / "nodir" / f"out.{key}")})
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the model was built or a solver ran")
+
+    monkeypatch.setattr(cli, "build_from_config", no_run)
+    monkeypatch.setattr(cli.solvers, "projected_subgradient", no_run)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert out.err.startswith(f"config error: output/{key}: ")
+    assert "nodir" in out.err
+
+
+def test_render_to_missing_directory_is_config_error(tmp_path, capsys):
+    path, _ = two_bar_grid_config(tmp_path)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    out_path = tmp_path / "nodir" / "x.svg"
+    assert cli.main(["render", str(tmp_path / "grid.result.json"),
+                     "-o", str(out_path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert out.err.startswith("config error: -o: ") and "nodir" in out.err
+    assert not out_path.parent.exists()
+
+
 def test_solve_ignores_geneig_seed(tmp_path, monkeypatch):
     # GENEIG_SEED seeds ``verify`` only: a solve is the same bit for bit
     path, _ = two_bar_grid_config(tmp_path)

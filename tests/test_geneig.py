@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from geneigopt import geneig, verify
+from geneigopt import geneig, symmat, verify
 from geneigopt.errors import (
     DegeneratePair,
     InvalidEpsilon,
@@ -68,34 +68,156 @@ def test_lambda_max_rejects_indefinite():
         lambda_max_ext(np.eye(2), [[1.0, 2.0], [2.0, 1.0]])
 
 
-def count_decompositions(monkeypatch, y):
-    """Patch the eigensolvers; returns [all calls, calls on exactly y]."""
-    counts = [0, 0]
+def record_solver_calls(monkeypatch):
+    """Patch the eigensolvers and Cholesky; returns the list of calls made,
+    each as (function name, first argument, ``subset_by_index``)."""
+    calls = []
 
-    def counting(fn):
+    def recording(name, fn):
         def wrapped(a, *args, **kwargs):
-            counts[0] += 1
-            counts[1] += np.shape(a) == y.shape and np.array_equal(a, y)
+            calls.append((name, np.asarray(a),
+                          kwargs.get("subset_by_index")))
             return fn(a, *args, **kwargs)
         return wrapped
 
-    for owner, name in [(np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+    for owner, name in [(np.linalg, "cholesky"), (np.linalg, "eigh"),
+                        (np.linalg, "eigvalsh"), (scipy.linalg, "cholesky"),
                         (scipy.linalg, "eigh")]:
-        monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
-    return counts
+        monkeypatch.setattr(owner, name, recording(
+            f"{owner.__name__}.{name}", getattr(owner, name)))
+    return calls
 
 
-@pytest.mark.parametrize("fn", [lambda_max_ext, lambda_min_ext])
-def test_extended_values_decompose_y_once(monkeypatch, fn):
+def rank_four_pair():
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     y = (q[:, :4] * [1.0, 2.0, 3.0, 4.0]) @ q[:, :4].T
     y = 0.5 * (y + y.T)
     x = (q[:, :4] * [0.5, 1.0, 0.0, 2.0]) @ q[:, :4].T
-    counts = count_decompositions(monkeypatch, y)
+    return 0.5 * (x + x.T), y
+
+
+@pytest.mark.parametrize("fn", [lambda_max_ext, lambda_min_ext])
+def test_extended_values_decompose_y_once(monkeypatch, fn):
+    x, y = rank_four_pair()
+    calls = record_solver_calls(monkeypatch)
     fn(x, y)
-    # an eigenvalue-only PSD check of X, one eigh of Y, the reduced solve
-    assert counts == [3, 1]
+    # one Cholesky of X + t*I (the PSD check), one eigh of Y, then only the
+    # one eigenvalue returned of the pencil reduced to Y's 4-dim range
+    assert [(name, subset) for name, _, subset in calls] == [
+        ("numpy.linalg.cholesky", None), ("numpy.linalg.eigh", None),
+        ("scipy.linalg.eigh", [3, 3] if fn is lambda_max_ext else [0, 0])]
+    shift = 1e-10 * (1.0 + np.max(np.abs(x)))
+    assert np.allclose(calls[0][1], x + shift * np.eye(6), rtol=0.0,
+                       atol=1e-15)
+    assert np.array_equal(calls[1][1], y)
+    assert calls[2][1].shape == (4, 4)
+
+
+def test_lambda_max_eps_solves_top_pair_only(monkeypatch):
+    x, y = rank_four_pair()
+    calls = record_solver_calls(monkeypatch)
+    lambda_max_eps(x, y, 1e-3)
+    # a Cholesky PSD check of each matrix, then the top generalized pair
+    assert [(name, subset) for name, _, subset in calls] == [
+        ("numpy.linalg.cholesky", None), ("numpy.linalg.cholesky", None),
+        ("scipy.linalg.eigh", [5, 5])]
+
+
+def test_empty_numerical_range_gives_the_zero_y_answers():
+    # Y = 1e-9*I is not zero to 1e-10, but every eigenvalue lies below the
+    # kernel threshold kernel_tol*(1 + max|Y|): the range of Y is empty
+    tiny = 1e-9 * np.eye(2)
+    r = lambda_max_ext(np.zeros((2, 2)), tiny)
+    assert (r.value, r.eigenvector, r.certificate) == \
+        (0.0, None, Certificate.ZERO_ZERO)
+    r = lambda_max_ext(np.eye(2), tiny)
+    assert r.value == math.inf and r.certificate is Certificate.KERNEL_ESCAPE
+    assert lambda_min_ext(np.eye(2), tiny) == math.inf
+    assert lambda_min_ext(np.zeros((2, 2)), tiny) == math.inf
+
+
+def generalized_route(x, y, tol=symmat.DEFAULT_TOL):
+    """(lambda_max_ext, lambda_min_ext, top eigenvalue of the reduced pencil)
+    by full generalized eigensolves of the pencil reduced to the range of Y:
+    an independent test oracle."""
+    w, v = np.linalg.eigh(y)
+    in_kernel = w <= tol.kernel_tol * (1.0 + np.max(np.abs(y)))
+    u, r = v[:, in_kernel], v[:, ~in_kernel]
+    top = max(scipy.linalg.eigh(r.T @ x @ r, r.T @ y @ r,
+                                eigvals_only=True)[-1], 0.0)
+    escapes = np.any(np.linalg.norm(x @ u, axis=0)
+                     > tol.kernel_tol * (1.0 + np.max(np.abs(x))))
+    a_rr = r.T @ x @ r
+    if u.shape[1]:
+        a_ru = r.T @ x @ u
+        a_rr = a_rr - a_ru @ np.linalg.pinv(u.T @ x @ u, hermitian=True,
+                                            rcond=tol.kernel_tol) @ a_ru.T
+    lmin = max(scipy.linalg.eigh(a_rr, r.T @ y @ r, eigvals_only=True)[0], 0.0)
+    return (math.inf if escapes else top), lmin, top
+
+
+def assert_values_match_generalized_route(x, y, rtol):
+    lmax, lmin, top = generalized_route(x, y)
+    got = lambda_max_ext(x, y).value
+    if math.isinf(lmax):
+        assert got == math.inf
+    else:
+        assert abs(got - lmax) <= rtol * lmax
+    # the bottom eigenvalue is accurate relative to the pencil's top one
+    assert abs(lambda_min_ext(x, y) - lmin) <= rtol * max(top, 1.0)
+    n = x.shape[0]
+    eps = 1e-3
+    top = scipy.linalg.eigh(x, y + eps * np.eye(n), eigvals_only=True)[-1]
+    assert abs(lambda_max_eps(x, y, eps).value - top) <= rtol * abs(top)
+
+
+def test_values_match_the_generalized_route_on_random_pairs():
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        n = int(rng.integers(2, 30))
+        x, y = verify.random_psd_pair(rng, n, zero_prob=0.0)
+        assert_values_match_generalized_route(x, y, 1e-12)
+
+
+def test_values_match_the_generalized_route_near_the_kernel_threshold():
+    # Y's smallest range eigenvalues sit at 10 to 1000 times the kernel
+    # threshold: the reduced pencil's condition number reaches about 1e7
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        n = int(rng.integers(3, 30))
+        k = int(rng.integers(0, n - 1))
+        small = int(rng.integers(1, n - k))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        vals = np.zeros(n)
+        vals[k:] = rng.uniform(0.5, 5.0, n - k)
+        scale = 1.0 + np.max(np.abs((q * vals) @ q.T))
+        vals[k:k + small] = 1e-8 * scale * 10.0 ** rng.uniform(1.0, 3.0, small)
+        y = (q * vals) @ q.T
+        f = q[:, k:] @ rng.standard_normal((n - k, n - k))
+        x = f @ f.T
+        assert_values_match_generalized_route(x, y, 1e-9)
+
+
+def test_eigenvectors_meet_their_normalization():
+    rng = np.random.default_rng(47)
+    checked = 0
+    while checked < 40:
+        n = int(rng.integers(2, 30))
+        x, y = verify.random_psd_pair(rng, n, zero_prob=0.0)
+        eps = 10.0 ** rng.uniform(-6, -1)
+        r = lambda_max_eps(x, y, eps)
+        assert abs(r.eigenvector @ (y + eps * np.eye(n)) @ r.eigenvector
+                   - 1.0) <= 1e-10
+        r = lambda_max_ext(x, y)
+        if r.certificate is not Certificate.REDUCED_PENCIL:
+            continue
+        v = r.eigenvector
+        assert abs(v @ y @ v - 1.0) <= 1e-12
+        residual = np.linalg.norm(x @ v - r.value * (y @ v))
+        assert residual <= 1e-12 * (np.linalg.norm(x) + r.value
+                                    * np.linalg.norm(y)) * np.linalg.norm(v)
+        checked += 1
 
 
 def test_lambda_max_matches_membership_oracle():

@@ -78,6 +78,26 @@ def test_is_psd_tolerance_scales_with_magnitude():
     assert not is_psd(big, strict)
 
 
+@pytest.mark.parametrize("n", [2, 24, 80])
+def test_is_psd_agrees_with_the_eigenvalue_rule(n):
+    # lambda_min planted at -delta*(1 -+ 1e-2), delta the threshold
+    # psd_tol*(1 + max|X|), on matrices of entry size 1e-3 to 1e8
+    rng = np.random.default_rng(n)
+    psd_tol = DEFAULT_TOL.psd_tol
+    for size in 10.0 ** np.array([-3.0, -1.0, 1.0, 3.0, 5.0, 8.0]):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        vals = np.concatenate(([0.0], rng.uniform(0.1, 1.0, n - 1)))
+        base = (q * vals) @ q.T
+        base *= size / np.max(np.abs(base))
+        delta = psd_tol * (1.0 + size)
+        for factor, want in ((1.0 - 1e-2, True), (1.0 + 1e-2, False)):
+            x = base - factor * delta * np.outer(q[:, 0], q[:, 0])
+            lam_min = np.linalg.eigvalsh(x)[0]
+            rule = lam_min >= -psd_tol * (1.0 + np.max(np.abs(x)))
+            assert rule == want, (n, size, factor)
+            assert is_psd(x) == want, (n, size, factor)
+
+
 def test_kernel_basis_examples():
     k = kernel_basis(np.diag([1.0, 0.0]))
     assert k.shape == (2, 1)
