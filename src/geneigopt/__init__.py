@@ -31,7 +31,7 @@ from .solvers import (
     projected_subgradient,
     smoothed_apg,
 )
-from .symmat import DEFAULT_TOL, SymMatrix, TolerancePolicy, eig_sym, is_psd, kernel_basis
+from .symmat import KERNEL_TOL, PSD_TOL, is_psd, kernel_basis
 from .truss import (
     GroundStructure,
     Material,

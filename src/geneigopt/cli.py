@@ -385,9 +385,15 @@ def render_svg(result: dict, out_path: str,
 def _dispatch_solve(cfg: dict, config_path: str, mode: str) -> int:
     for key, path in cfg.get("output", {}).items():
         _require_parent_dir(path, f"output/{key}")
+    solver_name = cfg.get("solver", {}).get("name", "subgradient")
+    if mode == "solve" and solver_name != "bisection" and \
+            cfg.get("formulation") == FORM_EXACT:
+        # at eps = 0 the first-order solvers stop on a singular K(x) as
+        # soon as areas reach zero; bisection tests levels instead
+        raise ConfigError(f"formulation: exact needs solver bisection, not "
+                          f"{solver_name}", field="formulation")
     gs, model = build_from_config(cfg)
     opts = solver_options_from_config(cfg)
-    solver_name = cfg.get("solver", {}).get("name", "subgradient")
     start = time.perf_counter()
 
     if mode == "sweep-eps":

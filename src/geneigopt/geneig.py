@@ -32,7 +32,7 @@ from .errors import (
     OutOfDomain,
     SingularDenominator,
 )
-from .symmat import DEFAULT_TOL, TolerancePolicy, as_symmetric
+from .symmat import KERNEL_TOL, PSD_TOL, as_symmetric
 
 
 class Certificate(enum.Enum):
@@ -49,26 +49,23 @@ class GenEigResult:
     eigenvector: np.ndarray | None
     certificate: Certificate
 
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
 
 class AffinePencil:
     """Affine symmetric-matrix-valued map x -> A0 + sum_j x_j * A_j.
 
     Coefficient matrices must be PSD (element stiffness and mass matrices
-    are); the constant term is unrestricted so that shifted pencils used in
-    bisection can reuse the evaluation path.  ``coeffs`` is the
+    are); the constant term need only be finite, so that shifted pencils
+    used in bisection can reuse the evaluation path.  ``coeffs`` is the
     ``(nvars, n, n)`` stack, or None when every coefficient is zero; the
     rest of the package uses only ``pencil(x)``, ``quad``, ``level``, ``scale``.
     """
 
     __slots__ = ("constant", "coeffs", "nvars")
 
-    def __init__(self, constant, coefficients, *,
-                 tol: TolerancePolicy = DEFAULT_TOL):
+    def __init__(self, constant, coefficients):
         a0 = as_symmetric(constant)
+        if not np.all(np.isfinite(a0)):
+            raise InvalidMatrix("pencil constant has non-finite entries")
         coeffs = None
         if len(coefficients):
             raw = np.asarray(coefficients, dtype=float)
@@ -76,7 +73,7 @@ class AffinePencil:
                 raise ValueError("pencil matrices must share one dimension")
             coeffs = raw + raw.swapaxes(1, 2)
             coeffs *= 0.5
-            _require_psd_stack(coeffs, tol)
+            _require_psd_stack(coeffs)
         self.constant = a0
         self.coeffs = coeffs
         self.nvars = 0 if coeffs is None else coeffs.shape[0]
@@ -131,7 +128,7 @@ class AffinePencil:
         return pencil
 
 
-def _require_psd_stack(coeffs: np.ndarray, tol: TolerancePolicy):
+def _require_psd_stack(coeffs: np.ndarray):
     """``symmat.is_psd`` on each matrix of a stack, in one batched eigvalsh;
     raises ``InvalidMatrix``, else ``NotPositiveSemidefinite``, naming the
     first bad coefficient (each scaled by its own ``1 + max|C_j|``)."""
@@ -140,12 +137,12 @@ def _require_psd_stack(coeffs: np.ndarray, tol: TolerancePolicy):
     if bad.size:
         raise InvalidMatrix(f"pencil coefficient {bad[0]} has non-finite entries")
     lam_min = np.linalg.eigvalsh(coeffs)[:, 0]
-    bad = np.flatnonzero(lam_min < -tol.psd_tol * scale)
+    bad = np.flatnonzero(lam_min < -PSD_TOL * scale)
     if bad.size:
         raise NotPositiveSemidefinite(f"pencil coefficient {bad[0]} is not PSD")
 
 
-def _require_psd_pair(x, y, tol: TolerancePolicy, *, split: bool = False):
+def _require_psd_pair(x, y, *, split: bool = False):
     """Symmetric X and Y of one shape, both checked PSD; returns (X, Y, split).
 
     With ``split``, Y is checked by its ``symmat.psd_split``, returned for
@@ -156,15 +153,15 @@ def _require_psd_pair(x, y, tol: TolerancePolicy, *, split: bool = False):
     b = as_symmetric(y)
     if a.shape != b.shape:
         raise ValueError("matrix pair must share one dimension")
-    if not symmat.is_psd(a, tol):
+    if not symmat.is_psd(a):
         raise NotPositiveSemidefinite("first matrix is not PSD")
-    b_split = symmat.psd_split(b, tol) if split else None
-    if not (b_split.is_psd if split else symmat.is_psd(b, tol)):
+    b_split = symmat.psd_split(b) if split else None
+    if not (b_split.is_psd if split else symmat.is_psd(b)):
         raise NotPositiveSemidefinite("second matrix is not PSD")
     return a, b, b_split
 
 
-def lambda_max_ext(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> GenEigResult:
+def lambda_max_ext(x, y) -> GenEigResult:
     """Extended maximum generalized eigenvalue of a PSD pair.
 
     Returns +inf when a kernel direction of Y escapes the kernel of X, else
@@ -174,11 +171,11 @@ def lambda_max_ext(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> GenEigResult:
     column norms of C[:, U], and LAPACK computes only the top pair (value,
     z) of (C_rr, V_r'YV_r).  v = V_r z has v'Yv = 1 and Xv = value * Yv.
     """
-    a, b, split = _require_psd_pair(x, y, tol, split=True)
+    a, b, split = _require_psd_pair(x, y, split=True)
     k = symmat.kernel_basis(split).shape[1]
     c = split.basis.T @ a @ split.basis
     escape = np.linalg.norm(c[:, :k], axis=0)
-    if np.any(escape > tol.kernel_tol * (1.0 + float(np.max(np.abs(a))))):
+    if np.any(escape > KERNEL_TOL * (1.0 + float(np.max(np.abs(a))))):
         return GenEigResult(math.inf, None, Certificate.KERNEL_ESCAPE)
     r = split.range
     top = r.shape[1] - 1
@@ -189,7 +186,7 @@ def lambda_max_ext(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> GenEigResult:
                         Certificate.REDUCED_PENCIL)
 
 
-def lambda_min_ext(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def lambda_min_ext(x, y) -> float:
     """Extended minimum generalized eigenvalue: sup{a >= 0 | X - aY >= 0}.
 
     Returns +inf when Y is numerically zero.  Otherwise the value equals
@@ -198,7 +195,7 @@ def lambda_min_ext(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     S the Schur complement of C's kernel block (the minimization over the
     ker-Y component of v).
     """
-    a, b, split = _require_psd_pair(x, y, tol, split=True)
+    a, b, split = _require_psd_pair(x, y, split=True)
     k = symmat.kernel_basis(split).shape[1]
     r = split.range
     if r.shape[1] == 0:
@@ -209,19 +206,23 @@ def lambda_min_ext(x, y, tol: TolerancePolicy = DEFAULT_TOL) -> float:
         # pseudo-inverse (directions in ker Y inside ker X contribute nothing)
         c_ru = c[k:, :k]
         c[k:, k:] -= c_ru @ np.linalg.pinv(c[:k, :k], hermitian=True,
-                                           rcond=tol.kernel_tol) @ c_ru.T
+                                           rcond=KERNEL_TOL) @ c_ru.T
     w = scipy.linalg.eigh(c[k:, k:], r.T @ b @ r, eigvals_only=True,
                           subset_by_index=[0, 0])
     return max(float(w[0]), 0.0)
 
 
-def lambda_max_eps(x, y, eps: float,
-                   tol: TolerancePolicy = DEFAULT_TOL) -> GenEigResult:
+def _require_positive(value: float, name: str, error: type):
+    """Raise ``error`` unless 0 < value < inf (a NaN fails too)."""
+    if not 0 < value < math.inf:
+        raise error(f"{name} must be positive and finite, got {value}")
+
+
+def lambda_max_eps(x, y, eps: float) -> GenEigResult:
     """Top eigenpair, alone, of the regularized definite pencil
     (X, Y + eps*I); the eigenvector v has v'(Y + eps*I)v = 1."""
-    if eps <= 0:
-        raise InvalidEpsilon(f"eps must be positive, got {eps}")
-    a, b, _ = _require_psd_pair(x, y, tol)
+    _require_positive(eps, "eps", InvalidEpsilon)
+    a, b, _ = _require_psd_pair(x, y)
     n = a.shape[0]
     w, vecs = scipy.linalg.eigh(a, b + eps * np.eye(n),
                                 subset_by_index=[n - 1, n - 1])
@@ -229,22 +230,21 @@ def lambda_max_eps(x, y, eps: float,
                         Certificate.REDUCED_PENCIL)
 
 
-def rayleigh_sup_oracle(x, y, samples: int, seed: int,
-                        tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def rayleigh_sup_oracle(x, y, samples: int, seed: int) -> float:
     """Sampled lower bound on the supremum of the generalized Rayleigh quotient.
 
     Draws ``samples`` random unit vectors, rejects those (numerically) in the
     kernel of Y, and returns the best quotient seen.  Deterministic given the
     seed, and always at most the exact extended value.
     """
-    a, b, _ = _require_psd_pair(x, y, tol)
-    if float(np.max(np.abs(b))) <= tol.psd_tol:
+    a, b, _ = _require_psd_pair(x, y)
+    if float(np.max(np.abs(b))) <= PSD_TOL:
         raise DegeneratePair("denominator matrix is zero")
     vs = np.random.default_rng(seed).standard_normal((samples, a.shape[0]))
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
     num = np.einsum("ij,jk,ik->i", vs, a, vs)
     den = np.einsum("ij,jk,ik->i", vs, b, vs)
-    keep = den > tol.kernel_tol
+    keep = den > KERNEL_TOL
     return float(np.max(num[keep] / den[keep], initial=0.0))
 
 
@@ -282,6 +282,15 @@ def _pencil_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float):
     return value, grad, v
 
 
+def _checked_design(x, eps: float) -> np.ndarray:
+    """x as a float array, after the domain checks of the public entries."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((0 <= x) & (x < math.inf)):
+        raise OutOfDomain("design vector must be finite and nonnegative")
+    _require_positive(eps, "eps", InvalidEpsilon)
+    return x
+
+
 def composite_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float):
     """Evaluate lmax(A(x), B(x) + eps*I) with a subgradient.
 
@@ -289,12 +298,7 @@ def composite_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float):
     eigenvector v (normalized v'(B(x)+eps*I)v = 1); at a multiple top
     eigenvalue this is one element of the subdifferential.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise OutOfDomain("design vector must be componentwise nonnegative")
-    if eps <= 0:
-        raise InvalidEpsilon(f"eps must be positive, got {eps}")
-    return _pencil_value_grad(pa, pb, x, eps)
+    return _pencil_value_grad(pa, pb, _checked_design(x, eps), eps)
 
 
 def smoothed_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float,
@@ -305,13 +309,8 @@ def smoothed_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float,
     eigenvalues of (A(x), B(x) + eps*I), with the matching softmax-weighted
     gradient.  Satisfies lmax <= f_mu <= lmax + mu * log(n).
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise OutOfDomain("design vector must be componentwise nonnegative")
-    if eps <= 0:
-        raise InvalidEpsilon(f"eps must be positive, got {eps}")
-    if mu <= 0:
-        raise InvalidSmoothing(f"mu must be positive, got {mu}")
+    x = _checked_design(x, eps)
+    _require_positive(mu, "mu", InvalidSmoothing)
     return _smoothed_value_grad(pa, pb, x, eps, mu)
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from . import geneig, symmat
 from .errors import EmptyFeasibleSet
 from .geneig import AffinePencil
-from .symmat import DEFAULT_TOL, TolerancePolicy
 
 ROBUST_COMPLIANCE = "robust_compliance"
 EIGENFREQUENCY = "eigenfrequency"
@@ -41,14 +40,17 @@ class FeasibleSet:
         object.__setattr__(self, "l", l)
         if self.kind not in (VOLUME_LE, VOLUME_EQ):
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.v0 <= 0 or np.any(l <= 0) or self.lower_bound < 0:
+        # written so that a NaN fails each test
+        if not (0 < self.v0 < math.inf and 0 <= self.lower_bound < math.inf
+                and np.all((0 < l) & (l < math.inf))):
             raise EmptyFeasibleSet("invalid feasible-set parameters")
         if self.lower_bound * float(np.sum(l)) >= self.v0:
             raise EmptyFeasibleSet("lower bound leaves no interior")
 
-    def contains(self, x, rtol: float = 1e-9) -> bool:
+    def contains(self, x) -> bool:
+        """Membership up to 1e-9 * (1 + V0) in each constraint."""
         x = np.asarray(x, dtype=float)
-        scale = rtol * (1.0 + self.v0)
+        scale = 1e-9 * (1.0 + self.v0)
         if np.any(x < self.lower_bound - scale):
             return False
         vol = float(self.l @ x)
@@ -74,8 +76,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in (ROBUST_COMPLIANCE, EIGENFREQUENCY):
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not 0 <= self.eps < math.inf:
+            raise ValueError("eps must be nonnegative and finite")
 
     def objective_pencils(self) -> tuple[AffinePencil, AffinePencil]:
         """Pencils (A, B) such that the objective is lmax(A(x), B(x) [+ eps I])."""
@@ -97,19 +99,19 @@ class PencilModel:
     volumes: np.ndarray | None = None
 
 
-def psi_exact(model, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def psi_exact(model, x) -> float:
     """Extended robust compliance lmax(QQ', K(x)); +inf off the solvable set."""
     q = model.q_matrix
-    return geneig.lambda_max_ext(q @ q.T, model.k_pencil(x), tol).value
+    return geneig.lambda_max_ext(q @ q.T, model.k_pencil(x)).value
 
 
-def psi_eps(model, x, eps: float, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def psi_eps(model, x, eps: float) -> float:
     """Regularized robust compliance lmax(QQ', K(x) + eps*I)."""
     q = model.q_matrix
-    return geneig.lambda_max_eps(q @ q.T, model.k_pencil(x), eps, tol).value
+    return geneig.lambda_max_eps(q @ q.T, model.k_pencil(x), eps).value
 
 
-def psi_via_linear_solve(model, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def psi_via_linear_solve(model, x) -> float:
     """Independent route: lmax(Q'U) with K(x)U = Q, +inf when unsolvable.
 
     Membership in the solvable set is decided by Im Q being orthogonal to
@@ -117,9 +119,9 @@ def psi_via_linear_solve(model, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     """
     q = model.q_matrix
     k = model.k_pencil(np.asarray(x, dtype=float))
-    kernel = symmat.kernel_basis(k, tol)
+    kernel = symmat.kernel_basis(k)
     if kernel.shape[1]:
-        scale = tol.kernel_tol * (1.0 + float(np.max(np.abs(q))))
+        scale = symmat.KERNEL_TOL * (1.0 + float(np.max(np.abs(q))))
         if float(np.max(np.abs(kernel.T @ q))) > scale:
             return math.inf
     u, *_ = np.linalg.lstsq(k, q, rcond=None)
@@ -127,19 +129,18 @@ def psi_via_linear_solve(model, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
     return max(float(np.linalg.eigvalsh(0.5 * (s + s.T))[-1]), 0.0)
 
 
-def phi_exact(model, x, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def phi_exact(model, x) -> float:
     """Extended eigenfrequency objective lmax(M(x), K(x)).
 
     At x = 0 the value is +inf with a non-structural mass and 0 without one
     (K(0) = 0, so ``lambda_max_ext`` sees a zero or kernel-escape pair).
     """
-    return geneig.lambda_max_ext(model.m_pencil(x), model.k_pencil(x), tol).value
+    return geneig.lambda_max_ext(model.m_pencil(x), model.k_pencil(x)).value
 
 
-def phi_eps(model, x, eps: float, tol: TolerancePolicy = DEFAULT_TOL) -> float:
+def phi_eps(model, x, eps: float) -> float:
     """Regularized eigenfrequency objective lmax(M(x), K(x) + eps*I)."""
-    return geneig.lambda_max_eps(model.m_pencil(x), model.k_pencil(x),
-                                 eps, tol).value
+    return geneig.lambda_max_eps(model.m_pencil(x), model.k_pencil(x), eps).value
 
 
 def _diag_pencil(coeff_diags, constant_diag=None) -> AffinePencil:

@@ -286,10 +286,8 @@ def _sublevel_feasible(pencil: AffinePencil, fs: FeasibleSet,
     return best_h <= slack, best_x, best_h
 
 
-def bisection_global(spec: ProblemSpec, alpha_lo: float = 0.0,
-                     alpha_hi: float | None = None,
-                     opts: SolverOptions = SolverOptions(),
-                     x0=None) -> SolveReport:
+def bisection_global(spec: ProblemSpec,
+                     opts: SolverOptions = SolverOptions()) -> SolveReport:
     """Global solve of the quasiconvex problem by bisection on the level.
 
     A level alpha is feasible iff some feasible x satisfies
@@ -297,22 +295,18 @@ def bisection_global(spec: ProblemSpec, alpha_lo: float = 0.0,
     lmax(A(x) - alpha * B(x)) is (numerically) nonpositive.  Requires affine
     pencils; returns the smallest feasible level found and its witness.
 
-    Unless ``x0`` is given, a short regularized subgradient solve provides
-    the initial witness and upper level; starting the feasibility searches
-    near an optimizer matters on larger instances, where the convex search
-    from a cold start can fail to certify feasible levels.
+    A short regularized subgradient solve provides the initial witness and
+    upper level; starting the feasibility searches near an optimizer
+    matters on larger instances, where the convex search from a cold start
+    can fail to certify feasible levels.
     """
     pa, pb = spec.objective_pencils()
     fs = spec.feasible
 
-    warm_obj = None
-    if x0 is None:
-        warm = projected_subgradient(
-            replace(spec, eps=max(spec.eps, 1e-6)), None,
-            replace(opts, max_iters=min(4000, opts.max_iters)))
-        x0 = warm.x_final
-        warm_obj = warm.obj_final
-    x_start = project_feasible(np.asarray(x0, dtype=float), fs)
+    warm = projected_subgradient(
+        replace(spec, eps=max(spec.eps, 1e-6)), None,
+        replace(opts, max_iters=min(4000, opts.max_iters)))
+    x_start = project_feasible(warm.x_final, fs)
 
     scale_a, scale_b = pa.scale(), pb.scale(spec.eps)
 
@@ -326,15 +320,11 @@ def bisection_global(spec: ProblemSpec, alpha_lo: float = 0.0,
         return _sublevel_feasible(pa.level(pb, alpha, spec.eps), fs, x_from,
                                   slack, min(opts.max_iters, 1000))
 
-    ok, x_w, _ = feasible(alpha_lo, x_start)
+    ok, x_w, _ = feasible(0.0, x_start)
     if ok:
-        return _report(spec, x_w, alpha_lo, [], 0, "bisected")
+        return _report(spec, x_w, 0.0, [], 0, "bisected")
 
-    if alpha_hi is None:
-        if warm_obj is None or not math.isfinite(warm_obj):
-            reg = max(spec.eps, 1e-6)
-            warm_obj, _, _ = _pencil_value_grad(pa, pb, x_start, reg)
-        alpha_hi = max(warm_obj * (1.0 + 1e-3), 10.0 * opts.bisect_tol)
+    alpha_hi = max(warm.obj_final * (1.0 + 1e-3), 10.0 * opts.bisect_tol)
     ok, x_w, h_prev = feasible(alpha_hi, x_start)
     doublings = 0
     stagnant = 0
@@ -358,7 +348,7 @@ def bisection_global(spec: ProblemSpec, alpha_lo: float = 0.0,
             h_prev = h
     witness = x_w
 
-    lo, hi = alpha_lo, alpha_hi
+    lo, hi = 0.0, alpha_hi
     history = []
     tol = opts.bisect_tol * (1.0 + alpha_hi)
     it = 0

@@ -28,14 +28,14 @@ from .solvers import SolverOptions
 MEMBERSHIP_CAP = 1e12
 
 
-def lambda_max_by_membership(x, y, tol=symmat.DEFAULT_TOL) -> float:
+def lambda_max_by_membership(x, y) -> float:
     """inf{alpha >= 0 | alpha*Y - X >= 0} by doubling plus bisection."""
     a = symmat.as_symmetric(x)
     b = symmat.as_symmetric(y)
     # Anchor the PSD slack to |X| alone: a tolerance scaled by the shifted
     # matrix would grow with alpha and eventually absorb genuinely negative
     # eigenvalues of size ~|X|.
-    floor = -tol.psd_tol * (1.0 + float(np.max(np.abs(a))))
+    floor = -symmat.PSD_TOL * (1.0 + float(np.max(np.abs(a))))
 
     def feasible(alpha):
         return float(np.linalg.eigvalsh(alpha * b - a)[0]) >= floor

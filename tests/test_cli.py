@@ -311,21 +311,44 @@ def test_non_finite_config_number_is_config_error(tmp_path, capsys, overrides,
     assert f"config error: invalid config field {field}" in out.err
 
 
-@pytest.mark.parametrize("solver", ["subgradient", "smoothed_apg"])
-def test_singular_exact_solve_is_typed_error(tmp_path, capsys, solver):
-    # at eps = 0 an iterate that leaves a mechanism makes K(x) singular
+def robust_5x3_config(tmp_path, **overrides):
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(here, "examples-configs",
                            "truss_5x3_robust.json")) as fh:
         cfg = json.load(fh)
-    cfg.pop("eps")
-    cfg.update(formulation="exact", solver={"name": solver})
-    path = tmp_path / "exact.json"
+    cfg.update(overrides)
+    path = tmp_path / "robust.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("solver", ["subgradient", "smoothed_apg"])
+def test_singular_exact_solve_is_typed_error(tmp_path, capsys, monkeypatch,
+                                             solver):
+    # at eps = 0 a first-order solve stops on a singular K(x): the config
+    # is rejected before the model is built or a solver runs
+    path = robust_5x3_config(tmp_path, formulation="exact",
+                             solver={"name": solver})
+    ran = []
+    for owner, name in ((cli, "build_from_config"),
+                        (cli.solvers, "projected_subgradient"),
+                        (cli.solvers, "smoothed_apg")):
+        monkeypatch.setattr(owner, name, lambda *a, _n=name: ran.append(_n))
     assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
     out = capsys.readouterr()
     assert "Traceback" not in out.out + out.err
-    assert "error: B(x) + eps*I is not positive definite" in out.err
+    assert (f"config error: formulation: exact needs solver bisection, not "
+            f"{solver}") in out.err
+    assert ran == []
+
+
+def test_overflowing_load_is_typed_error(tmp_path, capsys):
+    # Q Q' overflows to +inf: the pencil constant is checked for finiteness
+    path = robust_5x3_config(tmp_path, load_scale=1e200)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert "error: pencil constant has non-finite entries" in out.err
 
 
 def test_verify_command(capsys):

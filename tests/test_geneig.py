@@ -9,6 +9,7 @@ import scipy.linalg
 from geneigopt import geneig, symmat, verify
 from geneigopt.errors import (
     DegeneratePair,
+    EmptyFeasibleSet,
     InvalidEpsilon,
     InvalidMatrix,
     InvalidSmoothing,
@@ -26,6 +27,7 @@ from geneigopt.geneig import (
     rayleigh_sup_oracle,
     smoothed_value_grad,
 )
+from geneigopt.problems import EIGENFREQUENCY, FeasibleSet, ProblemSpec
 
 
 # ---------------------------------------------------------------- lambda_max
@@ -126,7 +128,7 @@ def test_lambda_max_eps_solves_top_pair_only(monkeypatch):
 
 def test_empty_numerical_range_gives_the_zero_y_answers():
     # Y = 1e-9*I is not zero to 1e-10, but every eigenvalue lies below the
-    # kernel threshold kernel_tol*(1 + max|Y|): the range of Y is empty
+    # kernel threshold KERNEL_TOL*(1 + max|Y|): the range of Y is empty
     tiny = 1e-9 * np.eye(2)
     r = lambda_max_ext(np.zeros((2, 2)), tiny)
     assert (r.value, r.eigenvector, r.certificate) == \
@@ -137,22 +139,22 @@ def test_empty_numerical_range_gives_the_zero_y_answers():
     assert lambda_min_ext(np.zeros((2, 2)), tiny) == math.inf
 
 
-def generalized_route(x, y, tol=symmat.DEFAULT_TOL):
+def generalized_route(x, y):
     """(lambda_max_ext, lambda_min_ext, top eigenvalue of the reduced pencil)
     by full generalized eigensolves of the pencil reduced to the range of Y:
     an independent test oracle."""
     w, v = np.linalg.eigh(y)
-    in_kernel = w <= tol.kernel_tol * (1.0 + np.max(np.abs(y)))
+    in_kernel = w <= symmat.KERNEL_TOL * (1.0 + np.max(np.abs(y)))
     u, r = v[:, in_kernel], v[:, ~in_kernel]
     top = max(scipy.linalg.eigh(r.T @ x @ r, r.T @ y @ r,
                                 eigvals_only=True)[-1], 0.0)
     escapes = np.any(np.linalg.norm(x @ u, axis=0)
-                     > tol.kernel_tol * (1.0 + np.max(np.abs(x))))
+                     > symmat.KERNEL_TOL * (1.0 + np.max(np.abs(x))))
     a_rr = r.T @ x @ r
     if u.shape[1]:
         a_ru = r.T @ x @ u
         a_rr = a_rr - a_ru @ np.linalg.pinv(u.T @ x @ u, hermitian=True,
-                                            rcond=tol.kernel_tol) @ a_ru.T
+                                            rcond=symmat.KERNEL_TOL) @ a_ru.T
     lmin = max(scipy.linalg.eigh(a_rr, r.T @ y @ r, eigvals_only=True)[0], 0.0)
     return (math.inf if escapes else top), lmin, top
 
@@ -369,6 +371,16 @@ def test_affine_pencil_rejects_non_psd_coefficients():
         AffinePencil(np.zeros((2, 2)), [np.diag([-1.0, 0.0])])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_affine_pencil_rejects_non_finite_constant(bad):
+    with pytest.raises(InvalidMatrix):
+        AffinePencil(np.diag([bad, 1.0]), [np.eye(2)])
+    # an overflowing load: Q Q' of entries 1e200 is +inf
+    q = np.array([[1e200], [0.0]])
+    with np.errstate(over="ignore"), pytest.raises(InvalidMatrix):
+        AffinePencil.constant_pencil(q @ q.T, 2)
+
+
 def test_affine_pencil_checks_the_whole_stack():
     rng = np.random.default_rng(5)
     n = 4
@@ -480,6 +492,38 @@ def test_composite_value_grad_domain_checks():
         composite_value_grad(a, b, [-1.0, 1.0], 0.1)
     with pytest.raises(InvalidEpsilon):
         composite_value_grad(a, b, [1.0, 1.0], 0.0)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda p: lambda_max_eps(np.eye(2), np.eye(2), math.nan),
+                 InvalidEpsilon, id="lambda_max_eps-eps-nan"),
+    pytest.param(lambda p: lambda_max_eps(np.eye(2), np.eye(2), math.inf),
+                 InvalidEpsilon, id="lambda_max_eps-eps-inf"),
+    pytest.param(lambda p: composite_value_grad(*p, [1.0, 1.0], math.nan),
+                 InvalidEpsilon, id="composite-eps-nan"),
+    pytest.param(lambda p: smoothed_value_grad(*p, [1.0, 1.0], math.nan, 0.1),
+                 InvalidEpsilon, id="smoothed-eps-nan"),
+    pytest.param(lambda p: smoothed_value_grad(*p, [1.0, 1.0], 0.1, math.nan),
+                 InvalidSmoothing, id="smoothed-mu-nan"),
+    pytest.param(lambda p: smoothed_value_grad(*p, [1.0, 1.0], 0.1, math.inf),
+                 InvalidSmoothing, id="smoothed-mu-inf"),
+    pytest.param(lambda p: composite_value_grad(*p, [math.nan, 1.0], 0.1),
+                 OutOfDomain, id="composite-x-nan"),
+    pytest.param(lambda p: smoothed_value_grad(*p, [1.0, math.nan], 0.1, 0.1),
+                 OutOfDomain, id="smoothed-x-nan"),
+    pytest.param(lambda p: FeasibleSet(l=[1.0, 1.0], v0=math.nan),
+                 EmptyFeasibleSet, id="feasible-v0-nan"),
+    pytest.param(lambda p: FeasibleSet(l=[1.0, 1.0], v0=2.0,
+                                       lower_bound=math.nan),
+                 EmptyFeasibleSet, id="feasible-lower-bound-nan"),
+    pytest.param(lambda p: ProblemSpec(
+        EIGENFREQUENCY, None, FeasibleSet(l=[1.0, 1.0], v0=2.0), eps=math.nan),
+                 ValueError, id="problem-spec-eps-nan"),
+])
+def test_non_finite_scalars_fail_the_positivity_checks(call, error):
+    # each check is written so that NaN fails it, like a nonpositive value
+    with pytest.raises(error):
+        call(two_bar_pencils())
 
 
 def test_composite_grad_matches_finite_differences():

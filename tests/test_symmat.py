@@ -6,11 +6,7 @@ import pytest
 from geneigopt import symmat
 from geneigopt.errors import InvalidMatrix, NotPositiveSemidefinite
 from geneigopt.symmat import (
-    DEFAULT_TOL,
-    SymMatrix,
-    TolerancePolicy,
     as_symmetric,
-    eig_sym,
     is_psd,
     kernel_basis,
     psd_split,
@@ -18,49 +14,40 @@ from geneigopt.symmat import (
 )
 
 
-def test_symmatrix_symmetrizes_and_freezes():
-    s = SymMatrix([[1.0, 2.0], [0.0, 3.0]])
-    assert np.allclose(s.a, [[1.0, 1.0], [1.0, 3.0]])
-    with pytest.raises(ValueError):
-        s.a[0, 0] = 5.0
-    assert s.dim == 2
-    assert s.max_abs == 3.0
-
-
-def test_symmatrix_rejects_non_square():
-    with pytest.raises(InvalidMatrix):
-        SymMatrix(np.zeros((2, 3)))
-    with pytest.raises(InvalidMatrix):
-        SymMatrix(np.zeros(4))
-
-
 def test_as_symmetric_accepts_both_forms():
-    a = as_symmetric(SymMatrix(np.eye(2)))
-    assert np.allclose(a, np.eye(2))
+    # nested lists and arrays, symmetrized exactly
+    a = as_symmetric(np.eye(2))
+    assert np.array_equal(a, np.eye(2))
     b = as_symmetric([[0.0, 2.0], [0.0, 0.0]])
-    assert np.allclose(b, [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(b, [[0.0, 1.0], [1.0, 0.0]])
 
 
-def test_eig_sym_diagonal():
-    s = eig_sym(np.diag([3.0, 1.0]))
-    assert np.allclose(s.eigenvalues, [1.0, 3.0])
-
-
-def test_eig_sym_exchange():
-    s = eig_sym([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(s.eigenvalues, [-1.0, 1.0])
-
-
-def test_eig_sym_identity():
-    s = eig_sym(np.eye(3))
-    assert np.allclose(s.eigenvalues, [1.0, 1.0, 1.0])
-    # eigenvectors orthonormal
-    assert np.allclose(s.eigenvectors.T @ s.eigenvectors, np.eye(3))
-
-
-def test_eig_sym_rejects_nan():
+def test_as_symmetric_rejects_non_square():
     with pytest.raises(InvalidMatrix):
-        eig_sym(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        as_symmetric(np.zeros((2, 3)))
+    with pytest.raises(InvalidMatrix):
+        as_symmetric(np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_psd_split_rejects_non_finite(bad):
+    x = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(InvalidMatrix):
+        psd_split(x)
+    with pytest.raises(InvalidMatrix):
+        is_psd(x)
+
+
+@pytest.mark.parametrize("x, values", [
+    (np.diag([3.0, 1.0]), [1.0, 3.0]),
+    ([[0.0, 1.0], [1.0, 0.0]], [-1.0, 1.0]),
+    (np.eye(3), [1.0, 1.0, 1.0]),
+], ids=["diagonal", "exchange", "identity"])
+def test_psd_split_basis_is_an_orthonormal_eigenbasis(x, values):
+    # ascending eigenvectors: V'XV is the diagonal of the eigenvalues
+    v = psd_split(x).basis
+    assert np.allclose(v.T @ v, np.eye(len(values)))
+    assert np.allclose(v.T @ as_symmetric(x) @ v, np.diag(values))
 
 
 def test_is_psd_basic():
@@ -74,16 +61,16 @@ def test_is_psd_tolerance_scales_with_magnitude():
     big = 1e8 * np.eye(2)
     big[1, 1] = -1e-4
     assert is_psd(big)
-    strict = TolerancePolicy(psd_tol=0.0)
-    assert not is_psd(big, strict)
+    # the same eigenvalue on a matrix of entry size 1 fails
+    assert not is_psd(np.diag([1.0, -1e-4]))
 
 
 @pytest.mark.parametrize("n", [2, 24, 80])
 def test_is_psd_agrees_with_the_eigenvalue_rule(n):
     # lambda_min planted at -delta*(1 -+ 1e-2), delta the threshold
-    # psd_tol*(1 + max|X|), on matrices of entry size 1e-3 to 1e8
+    # PSD_TOL*(1 + max|X|), on matrices of entry size 1e-3 to 1e8
     rng = np.random.default_rng(n)
-    psd_tol = DEFAULT_TOL.psd_tol
+    psd_tol = symmat.PSD_TOL
     for size in 10.0 ** np.array([-3.0, -1.0, 1.0, 3.0, 5.0, 8.0]):
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         vals = np.concatenate(([0.0], rng.uniform(0.1, 1.0, n - 1)))
@@ -126,11 +113,11 @@ def test_range_plus_kernel_span_everything():
         rank = int(rng.integers(1, dim + 1))
         vals[:rank] = rng.uniform(0.5, 4.0, rank)
         a = (q * vals) @ q.T
-        ker = kernel_basis(a, DEFAULT_TOL)
-        ran = range_basis(a, DEFAULT_TOL)
+        ker = kernel_basis(a)
+        ran = range_basis(a)
         assert ker.shape[1] + ran.shape[1] == dim
         # one split answers the same queries, and the bases take it as input
-        split = psd_split(a, DEFAULT_TOL)
+        split = psd_split(a)
         assert split.is_psd
         assert np.array_equal(split.kernel, ker)
         assert np.array_equal(split.range, ran)
@@ -143,7 +130,3 @@ def test_range_plus_kernel_span_everything():
             red = ran.T @ a @ ran
             assert np.linalg.eigvalsh(red)[0] > 1e-9
 
-
-def test_tolerance_policy_validation():
-    with pytest.raises(ValueError):
-        TolerancePolicy(psd_tol=-1e-3)
