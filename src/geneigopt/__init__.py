@@ -35,10 +35,8 @@ from .symmat import KERNEL_TOL, PSD_TOL, is_psd, kernel_basis
 from .truss import (
     GroundStructure,
     Material,
-    TrussModel,
     build_model,
     generate_ground_structure,
-    uniform_feasible_design,
 )
 
 __version__ = "0.1.0"

@@ -2,17 +2,15 @@
 
 Subcommands:
 
-* ``solve <config>``      one solver run (subgradient / smoothed APG)
-* ``sweep-eps <config>``  epsilon-continuation over a schedule
-* ``bisect <config>``     global bisection solve
+* ``solve <config>``      the config's solver, or with ``eps_schedule`` an
+                          epsilon-continuation of it
 * ``render <result>``     SVG drawing of a stored design
 * ``verify <suite>``      run the numerical certification suites
 
 Configs and results are JSON; iteration histories are CSV with columns
 ``iter,objective,eps``.  Nodes are referenced by ``node`` index or, on a
 grid, by ``ix``/``iy`` inside ``0..nx-1``/``0..ny-1``.  The config key
-``solver.seed`` is accepted and ignored: every solver is deterministic.  The
-environment variable ``GENEIG_SEED`` overrides the seed of ``verify``.
+``solver.seed`` is accepted and ignored: every solver is deterministic.
 """
 
 from __future__ import annotations
@@ -302,7 +300,8 @@ def _require_parent_dir(path: str, field: str):
                           field=field)
 
 
-def _write_result(record: dict, reports, cfg: dict, config_path: str):
+def _write_result(record: dict, runs, cfg: dict, config_path: str):
+    """Write the result, the history of each (report, eps) run and the SVG."""
     out = cfg.get("output", {})
     base, _ = os.path.splitext(config_path)
     result_path = out.get("result", base + ".result.json")
@@ -313,9 +312,9 @@ def _write_result(record: dict, reports, cfg: dict, config_path: str):
     with open(history_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "objective", "eps"])
-        for rep in reports:
+        for rep, eps in runs:
             for it, obj in rep.history:
-                writer.writerow([it, repr(obj), rep.eps_used])
+                writer.writerow([it, repr(obj), eps])
     svg_path = out.get("svg")
     if svg_path:
         render_svg(record, svg_path)
@@ -382,56 +381,50 @@ def render_svg(result: dict, out_path: str,
     return out_path
 
 
-def _dispatch_solve(cfg: dict, config_path: str, mode: str) -> int:
+def _dispatch_solve(cfg: dict, config_path: str) -> int:
     for key, path in cfg.get("output", {}).items():
         _require_parent_dir(path, f"output/{key}")
     solver_name = cfg.get("solver", {}).get("name", "subgradient")
-    if mode == "solve" and solver_name != "bisection" and \
-            cfg.get("formulation") == FORM_EXACT:
+    schedule = cfg.get("eps_schedule")
+    if schedule is not None:
+        if any(b >= a for a, b in zip(schedule, schedule[1:])):
+            raise ConfigError("eps_schedule: must be strictly decreasing",
+                              field="eps_schedule")
+        if solver_name == "bisection":
+            raise ConfigError("solver/name: an eps_schedule runs subgradient "
+                              "or smoothed_apg, not bisection",
+                              field="solver/name")
+    if solver_name != "bisection" and cfg.get("formulation") == FORM_EXACT:
         # at eps = 0 the first-order solvers stop on a singular K(x) as
         # soon as areas reach zero; bisection tests levels instead
         raise ConfigError(f"formulation: exact needs solver bisection, not "
                           f"{solver_name}", field="formulation")
     gs, model = build_from_config(cfg)
     opts = solver_options_from_config(cfg)
+    spec = problem_from_config(cfg, model, schedule[0] if schedule else None)
     start = time.perf_counter()
-
-    if mode == "sweep-eps":
-        schedule = cfg.get("eps_schedule")
-        if not schedule:
-            raise ConfigError("sweep-eps requires 'eps_schedule'",
-                              field="eps_schedule")
-        if any(b >= a for a, b in zip(schedule, schedule[1:])):
-            raise ConfigError("eps_schedule: must be strictly decreasing",
-                              field="eps_schedule")
-        if solver_name == "bisection":
-            raise ConfigError("solver/name: sweep-eps runs subgradient or "
-                              "smoothed_apg, not bisection", field="solver/name")
-        spec = problem_from_config(cfg, model, eps=schedule[0])
+    if schedule:
         reports = solvers.eps_continuation(spec, schedule, opts,
                                            method=solver_name)
-        final = reports[-1]
-    elif mode == "bisect" or solver_name == "bisection":
-        spec = problem_from_config(cfg, model)
-        final = solvers.bisection_global(spec, opts=opts)
-        reports = [final]
+    elif solver_name == "bisection":
+        reports = [solvers.bisection_global(spec, opts=opts)]
     else:
-        spec = problem_from_config(cfg, model)
         solve = solvers.smoothed_apg if solver_name == "smoothed_apg" \
             else solvers.projected_subgradient
-        final = solve(spec, None, opts)
-        reports = [final]
-
+        reports = [solve(spec, None, opts)]
+    final = reports[-1]
     wall = time.perf_counter() - start
     record = result_record(cfg, gs, model, final, wall)
-    if mode == "sweep-eps":
+    # eps_used is 0 under lower_bound_eps, where eps is the area floor
+    eps_values = [float(e) for e in schedule] if schedule else [final.eps_used]
+    if schedule:
         record["sweep"] = [
-            {"eps": r.eps_used, "obj_final": r.obj_final,
+            {"eps": eps, "obj_final": r.obj_final,
              "distance_to_last": float(np.linalg.norm(
-                 r.x_final - reports[-1].x_final))}
-            for r in reports
+                 r.x_final - final.x_final))}
+            for eps, r in zip(eps_values, reports)
         ]
-    path = _write_result(record, reports, cfg, config_path)
+    path = _write_result(record, zip(reports, eps_values), cfg, config_path)
     print(f"wrote {path}  (objective {final.obj_final:.6g}, "
           f"{final.active_bars}/{model.m} active bars)")
     return EXIT_OK
@@ -442,9 +435,7 @@ def main(argv=None) -> int:
         prog="geneigopt",
         description="Generalized eigenvalue topology optimization runner")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "sweep-eps", "bisect"):
-        p = sub.add_parser(name)
-        p.add_argument("config")
+    sub.add_parser("solve").add_argument("config")
     p = sub.add_parser("render")
     p.add_argument("result")
     p.add_argument("-o", "--out", default=None)
@@ -455,9 +446,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.command in ("solve", "sweep-eps", "bisect"):
-            cfg = load_config(args.config)
-            return _dispatch_solve(cfg, args.config, args.command)
+        if args.command == "solve":
+            return _dispatch_solve(load_config(args.config), args.config)
         if args.command == "render":
             result = _read_json(args.result, "result")
             out = args.out or os.path.splitext(args.result)[0] + ".svg"
@@ -469,8 +459,9 @@ def main(argv=None) -> int:
             print(f"wrote {out}")
             return EXIT_OK
         if args.command == "verify":
-            seed = int(os.environ.get("GENEIG_SEED", args.seed))
-            results = verify.run_suites(args.suite, seed)
+            if args.seed < 0:
+                raise ConfigError("--seed: must be a non-negative integer")
+            results = verify.run_suites(args.suite, args.seed)
             print(json.dumps(results, indent=2))
             ok = all(r["passed"] for r in results)
             for r in results:

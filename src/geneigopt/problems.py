@@ -91,12 +91,25 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class PencilModel:
-    """Bare pencil container for closed-form and randomly generated instances."""
+    """Pencils K(x) and M(x), load weights Q and member volumes per area.
+
+    ``truss.build_model`` fills every field (``load_node`` carries the load
+    and the non-structural mass); the closed-form instances leave some out.
+    """
 
     k_pencil: AffinePencil
     m_pencil: AffinePencil | None = None
     q_matrix: np.ndarray | None = None
     volumes: np.ndarray | None = None
+    load_node: int | None = None
+
+    @property
+    def n(self) -> int:
+        return self.k_pencil.dim
+
+    @property
+    def m(self) -> int:
+        return self.k_pencil.nvars
 
 
 def psi_exact(model, x) -> float:

@@ -371,17 +371,26 @@ def eps_continuation(spec: ProblemSpec, eps_schedule,
                      method: str = "subgradient") -> list[SolveReport]:
     """Solve the regularized problem along a decreasing epsilon schedule.
 
-    Each solve warm-starts from the previous solution projected into the new
-    feasible set.  Returns one report per epsilon, in schedule order.
+    Epsilon shifts the pencil, K(x) + eps I, when ``spec.eps > 0`` and is
+    else the area floor x >= eps (``spec.feasible.lower_bound > 0``); an
+    exact spec has nothing to sweep.  Each solve warm-starts from the
+    previous solution projected into the new feasible set.  Returns one
+    report per epsilon, in schedule order.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if any(e <= 0 for e in eps_schedule) or \
             any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("eps schedule must be strictly decreasing and positive")
+    shift = spec.eps > 0
+    if not shift and spec.feasible.lower_bound <= 0:
+        raise ValueError("an exact spec (eps = 0, lower bound 0) has no "
+                         "regularization to sweep")
     solve = {"subgradient": projected_subgradient,
              "smoothed_apg": smoothed_apg}[method]
     reports = []
     for eps in eps_schedule:
         x = reports[-1].x_final if reports else None
-        reports.append(solve(replace(spec, eps=eps), x, opts))
+        step = replace(spec, eps=eps) if shift else \
+            replace(spec, feasible=replace(spec.feasible, lower_bound=eps))
+        reports.append(solve(step, x, opts))
     return reports

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InvalidLoadNode, NoFreeDofs
 from .geneig import AffinePencil
+from .problems import PencilModel
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,6 @@ class GroundStructure:
     def free_dofs(self) -> list[int]:
         return [d for d in range(2 * self.n_nodes) if d not in self.fixed_dofs]
 
-    def bar_length(self, j: int) -> float:
-        a, b = self.bars[j]
-        return float(np.linalg.norm(self.nodes[b] - self.nodes[a]))
-
 
 @dataclass(frozen=True)
 class Material:
@@ -60,30 +57,6 @@ class Material:
             raise ValueError("Young's modulus must be positive")
         if self.density < 0:
             raise ValueError("density must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TrussModel:
-    """Assembled pencils and data of a truss design problem.
-
-    ``k_pencil`` has zero constant term; ``m_pencil``'s constant term is the
-    non-structural mass matrix M0.  ``volumes`` maps cross-sectional areas
-    to member volumes (bar lengths, m^3 per unit area).
-    """
-
-    k_pencil: AffinePencil
-    m_pencil: AffinePencil
-    volumes: np.ndarray
-    q_matrix: np.ndarray
-    load_node: int
-
-    @property
-    def n(self) -> int:
-        return self.k_pencil.dim
-
-    @property
-    def m(self) -> int:
-        return self.k_pencil.nvars
 
 
 def grid_node_index(nx: int, ix: int, iy: int) -> int:
@@ -123,7 +96,7 @@ def generate_ground_structure(nx: int, ny: int, spacing: float,
 
 def build_model(gs: GroundStructure, mat: Material, load_node: int,
                 load_scale: float = 1.0, nonstructural_mass: float = 0.0,
-                load_dims: int = 2) -> TrussModel:
+                load_dims: int = 2) -> PencilModel:
     """Assemble element pencils, volume vector and the load weight matrix.
 
     Row j of G holds bar j's direction vector g_j on the free DOFs, so
@@ -168,14 +141,6 @@ def build_model(gs: GroundStructure, mat: Material, load_node: int,
     q = np.zeros((n, load_dims))
     q[load[:load_dims], np.arange(load_dims)] = load_scale
 
-    return TrussModel(k_pencil=AffinePencil(np.zeros((n, n)), k_coeffs),
-                      m_pencil=AffinePencil(m0, m_coeffs), volumes=lengths,
-                      q_matrix=q, load_node=load_node)
-
-
-def uniform_feasible_design(model, v0: float) -> np.ndarray:
-    """Uniform cross-sectional areas using the whole volume budget."""
-    if v0 <= 0:
-        raise ValueError("volume budget must be positive")
-    total = float(np.sum(model.volumes))
-    return np.full(len(model.volumes), v0 / total)
+    return PencilModel(k_pencil=AffinePencil(np.zeros((n, n)), k_coeffs),
+                       m_pencil=AffinePencil(m0, m_coeffs), volumes=lengths,
+                       q_matrix=q, load_node=load_node)

@@ -146,7 +146,7 @@ def test_bisect_exit_code_when_unbracketable(tmp_path):
         tmp_path, problem="eigenfrequency", nonstructural_mass=1.0,
         volume={"v0": 2.0, "constraint": "eq"}, formulation="exact",
         solver={"name": "bisection", "max_iters": 300})
-    assert cli.main(["bisect", str(path)]) == cli.EXIT_BRACKET
+    assert cli.main(["solve", str(path)]) == cli.EXIT_BRACKET
 
 
 def test_sweep_eps(tmp_path):
@@ -156,7 +156,7 @@ def test_sweep_eps(tmp_path):
     del_eps = json.loads(path.read_text())
     del_eps.pop("eps")
     path.write_text(json.dumps(del_eps))
-    assert cli.main(["sweep-eps", str(path)]) == cli.EXIT_OK
+    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
     result = json.loads((tmp_path / "config.result.json").read_text())
     sweep = result["sweep"]
     assert [s["eps"] for s in sweep] == [1e-2, 1e-4, 1e-6]
@@ -166,15 +166,74 @@ def test_sweep_eps(tmp_path):
     assert abs(objs[-1] - 0.5) < 1e-3
 
 
+def test_solve_sweeps_the_lower_bound(tmp_path, monkeypatch):
+    # lower_bound_eps: each step's epsilon is the area floor, not a pencil
+    # shift, and the records carry the schedule (eps_used is 0 there)
+    schedule = [1e-2, 1e-3, 1e-4]
+    path, _ = two_bar_grid_config(
+        tmp_path, formulation="lower_bound_eps", eps_schedule=schedule,
+        solver={"name": "subgradient", "max_iters": 2000})
+    runs = []
+    original = cli.solvers.eps_continuation
+
+    def continuation(spec, *args, **kwargs):
+        runs.append((spec, original(spec, *args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(cli.solvers, "eps_continuation", continuation)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+    (spec, reports), = runs
+    assert spec.eps == 0.0
+    for eps, rep in zip(schedule, reports):
+        assert np.min(rep.x_final) >= eps
+    result = json.loads((tmp_path / "grid.result.json").read_text())
+    assert [s["eps"] for s in result["sweep"]] == schedule
+    assert result["sweep"][-1]["obj_final"] == result["report"]["obj_final"]
+    assert min(result["report"]["x_final"]) >= schedule[-1]
+    rows = (tmp_path / "grid.history.csv").read_text().splitlines()[1:]
+    assert [float(e) for e in dict.fromkeys(r.split(",")[2] for r in rows)] \
+        == schedule
+    assert len(rows) == sum(len(rep.history) for rep in reports)
+
+
+@pytest.mark.parametrize("command", ["bisect", "sweep-eps"])
+def test_removed_command_is_usage_error(tmp_path, capsys, command):
+    path, _ = single_bar_config(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, str(path)])
+    assert exit_info.value.code == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert "invalid choice" in out.err
+
+
+def test_readme_commands_exist():
+    # every ``geneigopt <cmd>`` line of README's CLI block is a command
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("## Command-line interface", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1] for line in block.splitlines()
+                if line.startswith("geneigopt ")]
+    assert "solve" in commands
+    for command in commands:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--help"])
+        assert exit_info.value.code == 0, command
+
+
 @pytest.mark.parametrize("overrides, field", [
     ({"eps_schedule": [1e-3, 1e-2]}, "eps_schedule"),
     ({"eps_schedule": [1e-2, 1e-2]}, "eps_schedule"),
     ({"eps_schedule": [1e-2, 1e-4], "solver": {"name": "bisection"}},
      "solver/name"),
+    # an exact formulation has nothing to sweep
+    ({"eps_schedule": [1e-2, 1e-4], "formulation": "exact"}, "formulation"),
 ])
 def test_bad_sweep_is_config_error(tmp_path, capsys, overrides, field):
     path, _ = single_bar_config(tmp_path, **overrides)
-    assert cli.main(["sweep-eps", str(path)]) == cli.EXIT_CONFIG
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
     out = capsys.readouterr()
     assert "Traceback" not in out.out + out.err
     assert f"config error: {field}" in out.err
@@ -203,7 +262,7 @@ def test_bisect_grid_model(tmp_path):
     path, _ = two_bar_grid_config(
         tmp_path, solver={"name": "bisection", "max_iters": 5000,
                           "bisect_tol": 1e-6})
-    assert cli.main(["bisect", str(path)]) == cli.EXIT_OK
+    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
     result = json.loads((tmp_path / "grid.result.json").read_text())
     assert result["report"]["termination"] == "bisected"
     assert result["report"]["obj_final"] > 0.0
@@ -281,7 +340,8 @@ def test_render_to_missing_directory_is_config_error(tmp_path, capsys):
 
 
 def test_solve_ignores_geneig_seed(tmp_path, monkeypatch):
-    # GENEIG_SEED seeds ``verify`` only: a solve is the same bit for bit
+    # no environment variable seeds anything (GENEIG_SEED, which once
+    # seeded ``verify``, is read nowhere): a solve is the same bit for bit
     path, _ = two_bar_grid_config(tmp_path)
     monkeypatch.delenv("GENEIG_SEED", raising=False)
     runs = []
@@ -349,6 +409,14 @@ def test_overflowing_load_is_typed_error(tmp_path, capsys):
     out = capsys.readouterr()
     assert "Traceback" not in out.out + out.err
     assert "error: pencil constant has non-finite entries" in out.err
+
+
+def test_verify_negative_seed_is_config_error(capsys):
+    assert cli.main(["verify", "examples", "--seed", "-1"]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert out.err.startswith("config error: --seed") and \
+        out.err.count("\n") == 1
 
 
 def test_verify_command(capsys):

@@ -340,6 +340,27 @@ def test_continuation_robust_values_increase_to_limit():
     assert values[-1] <= 0.5 + 1e-9
 
 
+def test_continuation_moves_the_lower_bound():
+    # eps = 0 with an area floor: the sweep lowers the floor x >= e, and the
+    # minimizer puts the rest of the volume on the loaded bar, psi = 1/(2 - e)
+    fs = FeasibleSet(l=np.array([1.0, 1.0]), v0=2.0, kind=problems.VOLUME_LE,
+                     lower_bound=0.1)
+    spec = ProblemSpec(ROBUST_COMPLIANCE, robust_two_bar_model(), fs, eps=0.0)
+    schedule = [1e-1, 1e-2, 1e-3]
+    reps = eps_continuation(spec, schedule, SolverOptions(max_iters=20000))
+    for e, rep in zip(schedule, reps):
+        assert abs(rep.obj_final - 1.0 / (2.0 - e)) <= 1e-6
+        assert rep.x_final[1] == e
+        assert rep.eps_used == 0.0
+
+
+def test_continuation_rejects_exact_spec():
+    spec = ProblemSpec(ROBUST_COMPLIANCE, robust_two_bar_model(), TWO_BAR_LE,
+                       eps=0.0)
+    with pytest.raises(ValueError, match="nothing to sweep|no regularization"):
+        eps_continuation(spec, [1e-2, 1e-4])
+
+
 def test_continuation_rejects_bad_schedules():
     spec = ProblemSpec(EIGENFREQUENCY, demo_model_without_mass(),
                        TWO_BAR_EQ, eps=0.1)

@@ -13,7 +13,6 @@ from geneigopt.truss import (
     build_model,
     generate_ground_structure,
     grid_node_index,
-    uniform_feasible_design,
 )
 
 
@@ -215,9 +214,10 @@ def test_lumped_mass_assembly():
 def test_volume_sum_2x2():
     gs = generate_ground_structure(2, 2, 1.0)
     a = 0.3
-    total = a * float(np.sum([gs.bar_length(j) for j in range(gs.n_bars)]))
-    assert abs(total - a * (4.0 + 2.0 * np.sqrt(2.0))) < 1e-12
     model = build_model(gs, Material(), load_node=0)
+    # volumes per unit area are the bar lengths: four sides, two diagonals
+    assert np.allclose(np.sort(model.volumes), [1.0] * 4 + [np.sqrt(2.0)] * 2,
+                       rtol=0.0, atol=1e-15)
     assert abs(float(model.volumes @ np.full(gs.n_bars, a))
                - a * (4.0 + 2.0 * np.sqrt(2.0))) < 1e-12
 
@@ -265,17 +265,6 @@ def test_full_design_kernel_inclusion():
     null = v[:, w < 1e-10]
     if null.shape[1]:
         assert np.max(np.abs(m @ null)) < 1e-10
-
-
-def test_uniform_feasible_design():
-    gs = single_bar_structure()
-    model = build_model(gs, Material(), load_node=1)
-    assert np.allclose(uniform_feasible_design(model, 2.0), [2.0])
-    gs2 = generate_ground_structure(2, 2, 1.0)
-    model2 = build_model(gs2, Material(), load_node=0)
-    x = uniform_feasible_design(model2, 0.1)
-    assert np.allclose(x, 0.1 / (4.0 + 2.0 * np.sqrt(2.0)))
-    assert abs(float(model2.volumes @ x) - 0.1) < 1e-12
 
 
 def test_mirror_symmetry_of_assembly():
