@@ -57,7 +57,7 @@ _SOLVER_SCHEMA = {
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
-    "required": ["problem", "volume"],
+    "required": ["problem", "volume", "load_node"],
     "properties": {
         "problem": {"enum": [problems.ROBUST_COMPLIANCE, problems.EIGENFREQUENCY]},
         "grid": {
@@ -203,15 +203,12 @@ def build_from_config(cfg: dict):
         raise ConfigError("grid: needs at least two nodes", field="grid")
     if grid is None and not cfg["bars"]:
         raise ConfigError("bars: needs at least one bar", field="bars")
-    supports = [(_node_index(entry, "fixed_nodes", n_nodes, grid),
-                 entry["dirs"]) for entry in cfg.get("fixed_nodes", [])]
+    # global DOFs 2 * node + direction; repeated nodes add their directions
+    fixed = frozenset(2 * _node_index(entry, "fixed_nodes", n_nodes, grid) + d
+                      for entry in cfg.get("fixed_nodes", [])
+                      for d, axis in enumerate("xy") if axis in entry["dirs"])
 
     if grid is not None:
-        fixed_map = dict(supports)
-
-        def fixed(ix, iy):
-            return fixed_map.get(truss.grid_node_index(grid["nx"], ix, iy), "")
-
         gs = truss.generate_ground_structure(grid["nx"], grid["ny"],
                                              grid["spacing"], fixed)
     else:
@@ -222,16 +219,10 @@ def build_from_config(cfg: dict):
                     np.array_equal(nodes[a], nodes[b]):
                 raise ConfigError(f"bars: bar {j} has zero length or a node "
                                   f"outside 0..{n_nodes - 1}", field="bars")
-        fixed = {2 * node + d for node, dirs in supports
-                 for d, axis in enumerate("xy") if axis in dirs}
-        gs = truss.GroundStructure(nodes=nodes, bars=bars,
-                                   fixed_dofs=frozenset(fixed))
+        gs = truss.GroundStructure(nodes=nodes, bars=bars, fixed_dofs=fixed)
 
     mat = truss.Material(**cfg.get("material", {}))
-    load_entry = cfg.get("load_node")
-    if load_entry is None:
-        raise ConfigError("config requires 'load_node'", field="load_node")
-    load_node = _node_index(load_entry, "load_node", n_nodes, grid)
+    load_node = _node_index(cfg["load_node"], "load_node", n_nodes, grid)
     model = truss.build_model(
         gs, mat, load_node,
         load_scale=cfg.get("load_scale", 1.0),
@@ -415,8 +406,9 @@ def _dispatch_solve(cfg: dict, config_path: str) -> int:
     final = reports[-1]
     wall = time.perf_counter() - start
     record = result_record(cfg, gs, model, final, wall)
-    # eps_used is 0 under lower_bound_eps, where eps is the area floor
-    eps_values = [float(e) for e in schedule] if schedule else [final.eps_used]
+    # the formulation's eps: the pencil shift, else the area floor
+    eps_values = [float(e) for e in
+                  schedule or [spec.eps or spec.feasible.lower_bound]]
     if schedule:
         record["sweep"] = [
             {"eps": eps, "obj_final": r.obj_final,

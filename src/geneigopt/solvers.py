@@ -356,12 +356,12 @@ def bisection_global(spec: ProblemSpec,
         it += 1
         mid = 0.5 * (lo + hi)
         ok, x_w, _ = feasible(mid, witness)
-        history.append((it, hi))
         if ok:
             hi = mid
             witness = x_w
         else:
             lo = mid
+        history.append((it, hi))
 
     return _report(spec, witness, hi, history, it, "bisected")
 

@@ -65,13 +65,12 @@ def grid_node_index(nx: int, ix: int, iy: int) -> int:
 
 
 def generate_ground_structure(nx: int, ny: int, spacing: float,
-                              fixed_nodes=None) -> GroundStructure:
+                              fixed_dofs=frozenset()) -> GroundStructure:
     """Full nx-by-ny grid ground structure without overlapping bars.
 
     Candidate pairs (a, b), a < b, come in row-major order; a pair is kept
     iff gcd(|dix|, |diy|) = 1, i.e. no grid node lies strictly between.
-    ``fixed_nodes`` is a predicate ``(ix, iy) -> str`` returning which
-    directions of the node are restrained: "" (free), "x", "y", or "xy".
+    ``fixed_dofs`` holds the restrained global DOFs (2 * node + direction).
     """
     if nx < 1 or ny < 1 or nx * ny < 2:
         raise ValueError("grid must contain at least two nodes")
@@ -82,16 +81,8 @@ def generate_ground_structure(nx: int, ny: int, spacing: float,
     a, b = np.triu_indices(nx * ny, k=1)
     keep = np.gcd(np.abs(ix[b] - ix[a]), np.abs(iy[b] - iy[a])) == 1
     bars = np.column_stack((a[keep], b[keep]))
-
-    fixed = set()
-    if fixed_nodes is not None:
-        for node in range(nx * ny):
-            dirs = fixed_nodes(int(ix[node]), int(iy[node])) or ""
-            fixed.update(2 * node + d for d, axis in enumerate("xy")
-                         if axis in dirs)
-    if len(fixed) >= 2 * nx * ny:
-        raise NoFreeDofs("every DOF is restrained")
-    return GroundStructure(nodes=nodes, bars=bars, fixed_dofs=frozenset(fixed))
+    return GroundStructure(nodes=nodes, bars=bars,
+                           fixed_dofs=frozenset(fixed_dofs))
 
 
 def build_model(gs: GroundStructure, mat: Material, load_node: int,

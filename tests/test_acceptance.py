@@ -376,8 +376,9 @@ def test_criterion_08_gradient_correctness():
     models = []
     for _ in range(5):
         nx, ny = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        gs = truss.generate_ground_structure(
-            nx, ny, 1.0, lambda ix, iy: "xy" if ix == 0 else "")
+        left = frozenset(2 * truss.grid_node_index(nx, 0, iy) + d
+                         for iy in range(ny) for d in (0, 1))
+        gs = truss.generate_ground_structure(nx, ny, 1.0, left)
         load = truss.grid_node_index(nx, nx - 1, ny - 1)
         models.append(truss.build_model(gs, truss.Material(1.0, 1.0), load,
                                         nonstructural_mass=1.0))
@@ -415,8 +416,9 @@ def test_criterion_08_gradient_correctness():
 # --------------------------------------------------------------- criterion 9
 
 def test_criterion_09_solver_consistency_5x3():
+    # the left column (nodes 0, 5 and 10) is fixed in both directions
     gs = truss.generate_ground_structure(
-        5, 3, 1.0, lambda ix, iy: "xy" if ix == 0 else "")
+        5, 3, 1.0, frozenset({0, 1, 10, 11, 20, 21}))
     model = truss.build_model(gs, truss.Material(1.0, 1.0),
                               truss.grid_node_index(5, 4, 1),
                               nonstructural_mass=1.0)

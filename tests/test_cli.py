@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from geneigopt import cli
-from geneigopt.errors import ConfigError
+from geneigopt.errors import ConfigError, NoFreeDofs
 
 
 def single_bar_config(tmp_path, **overrides):
@@ -99,6 +99,38 @@ def test_solve_all_dofs_fixed_is_config_error(tmp_path):
     path, _ = single_bar_config(
         tmp_path, fixed_nodes=[{"node": 0, "dirs": "xy"},
                                {"node": 1, "dirs": "xy"}])
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+
+
+def test_grid_and_explicit_supports_agree(tmp_path):
+    # two entries for one node add their directions on both geometries
+    supports = [{"node": 0, "dirs": "x"}, {"node": 0, "dirs": "y"}]
+    _, explicit = single_bar_config(tmp_path, fixed_nodes=supports)
+    grid = {k: v for k, v in explicit.items() if k not in ("nodes", "bars")}
+    grid["grid"] = {"nx": 2, "ny": 1, "spacing": 1.0}
+    (gs_e, model_e), (gs_g, model_g) = map(cli.build_from_config,
+                                           (explicit, grid))
+    assert np.array_equal(gs_e.bars, gs_g.bars)
+    assert gs_e.fixed_dofs == gs_g.fixed_dofs == {0, 1}
+    assert model_e.n == model_g.n == 2
+
+
+def test_fully_restrained_grid_is_no_free_dofs(tmp_path, capsys):
+    path, cfg = two_bar_grid_config(
+        tmp_path, fixed_nodes=[{"node": n, "dirs": "xy"} for n in range(4)])
+    with pytest.raises(NoFreeDofs) as exc:
+        cli.build_from_config(cfg)
+    assert exc.traceback[-1].name == "build_model"
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    assert "every DOF is restrained" in capsys.readouterr().err
+
+
+def test_missing_load_node_is_schema_error(tmp_path, capsys):
+    path, cfg = single_bar_config(tmp_path)
+    del cfg["load_node"]
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match="'load_node' is a required"):
+        cli.load_config(str(path))
     assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
 
 
@@ -266,6 +298,24 @@ def test_bisect_grid_model(tmp_path):
     result = json.loads((tmp_path / "grid.result.json").read_text())
     assert result["report"]["termination"] == "bisected"
     assert result["report"]["obj_final"] > 0.0
+    # each CSV row is the upper level after that bisection step
+    report = result["report"]
+    rows = (tmp_path / "grid.history.csv").read_text().splitlines()[1:]
+    levels = [float(r.split(",")[1]) for r in rows]
+    assert len(levels) == report["iterations"]
+    assert levels == sorted(levels, reverse=True)
+    assert levels[-1] == report["obj_final"]
+
+
+def test_history_eps_is_the_area_floor_without_schedule(tmp_path):
+    path, _ = two_bar_grid_config(
+        tmp_path, formulation="lower_bound_eps", eps=1e-4,
+        solver={"name": "subgradient", "max_iters": 2000})
+    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+    rows = (tmp_path / "grid.history.csv").read_text().splitlines()[1:]
+    assert rows and {float(r.split(",")[2]) for r in rows} == {1e-4}
+    result = json.loads((tmp_path / "grid.result.json").read_text())
+    assert min(result["report"]["x_final"]) >= 1e-4
 
 
 def test_render_svg(tmp_path):

@@ -37,6 +37,12 @@ def count_bars_by_enumeration(nodes, tol=1e-9):
     return np.array(pairs, dtype=int).reshape(-1, 2)
 
 
+def node_dofs(nx, cells, dirs=(0, 1)):
+    """Global DOFs 2 * node + d of the grid nodes at the (ix, iy) cells."""
+    return frozenset(2 * grid_node_index(nx, ix, iy) + d
+                     for ix, iy in cells for d in dirs)
+
+
 def loop_build_model(gs, mat, load_node, load_scale=1.0,
                      nonstructural_mass=0.0, load_dims=2):
     """Oracle: per-bar, per-DOF loop assembly through a DOF dict; returns
@@ -157,13 +163,16 @@ def test_assembly_matches_loop_oracle_on_irregular_geometry():
 
 
 def test_fixed_nodes_and_no_free_dofs():
-    gs = generate_ground_structure(2, 2, 1.0, lambda ix, iy: "xy" if ix == 0 else "y")
+    gs = generate_ground_structure(
+        2, 2, 1.0, node_dofs(2, [(0, 0), (0, 1)])
+        | node_dofs(2, [(1, 0), (1, 1)], dirs=(1,)))
     # left column fully fixed, right column vertically fixed
     assert len(gs.fixed_dofs) == 6
     assert gs.free_dofs == [2 * grid_node_index(2, 1, 0),
                             2 * grid_node_index(2, 1, 1)]
+    gs = generate_ground_structure(2, 1, 1.0, node_dofs(2, [(0, 0), (1, 0)]))
     with pytest.raises(NoFreeDofs):
-        generate_ground_structure(2, 1, 1.0, lambda ix, iy: "xy")
+        build_model(gs, Material(), load_node=1)
 
 
 def test_material_validation():
@@ -223,8 +232,7 @@ def test_volume_sum_2x2():
 
 
 def test_load_matrix_columns():
-    gs = generate_ground_structure(2, 2, 1.0,
-                                   lambda ix, iy: "xy" if iy == 0 else "")
+    gs = generate_ground_structure(2, 2, 1.0, node_dofs(2, [(0, 0), (1, 0)]))
     load = grid_node_index(2, 1, 1)
     model = build_model(gs, Material(), load, load_scale=2.5, load_dims=2)
     q = model.q_matrix
@@ -235,15 +243,13 @@ def test_load_matrix_columns():
 
 
 def test_load_on_fixed_node_rejected():
-    gs = generate_ground_structure(2, 2, 1.0,
-                                   lambda ix, iy: "xy" if iy == 0 else "")
+    gs = generate_ground_structure(2, 2, 1.0, node_dofs(2, [(0, 0), (1, 0)]))
     with pytest.raises(InvalidLoadNode):
         build_model(gs, Material(), load_node=0)
 
 
 def test_assembled_pencils_are_psd():
-    gs = generate_ground_structure(3, 2, 1.0,
-                                   lambda ix, iy: "xy" if ix == 0 else "")
+    gs = generate_ground_structure(3, 2, 1.0, node_dofs(3, [(0, 0), (0, 1)]))
     model = build_model(gs, Material(1.0, 1.0), grid_node_index(3, 2, 1),
                         nonstructural_mass=1.0)
     rng = np.random.default_rng(2)
@@ -255,8 +261,7 @@ def test_assembled_pencils_are_psd():
 
 def test_full_design_kernel_inclusion():
     # with all bars present, any zero-stiffness direction carries no mass
-    gs = generate_ground_structure(3, 2, 1.0,
-                                   lambda ix, iy: "xy" if ix == 0 else "")
+    gs = generate_ground_structure(3, 2, 1.0, node_dofs(3, [(0, 0), (0, 1)]))
     model = build_model(gs, Material(1.0, 1.0), grid_node_index(3, 2, 1))
     x = np.full(model.m, 0.5)
     k = model.k_pencil(x)
