@@ -390,7 +390,16 @@ def _dispatch_solve(cfg: dict, config_path: str) -> int:
         # soon as areas reach zero; bisection tests levels instead
         raise ConfigError(f"formulation: exact needs solver bisection, not "
                           f"{solver_name}", field="formulation")
+    if schedule is not None and "eps" in cfg:
+        raise ConfigError("eps: an eps_schedule replaces eps", field="eps")
     gs, model = build_from_config(cfg)
+    if solver_name != "bisection" and \
+            cfg.get("formulation") == FORM_LOWER_BOUND_EPS:
+        try:  # K(x) for x > 0 has the kernel of K(1): no area floor helps
+            np.linalg.cholesky(model.k_pencil(np.ones(model.m)))
+        except np.linalg.LinAlgError:
+            raise ConfigError(f"formulation: lower_bound_eps with {solver_name}"
+                              " needs K(x) > 0; use pencil_eps", "formulation")
     opts = solver_options_from_config(cfg)
     spec = problem_from_config(cfg, model, schedule[0] if schedule else None)
     start = time.perf_counter()

@@ -56,8 +56,8 @@ class AffinePencil:
     Coefficient matrices must be PSD (element stiffness and mass matrices
     are); the constant term need only be finite, so that shifted pencils
     used in bisection can reuse the evaluation path.  ``coeffs`` is the
-    ``(nvars, n, n)`` stack, or None when every coefficient is zero; the
-    rest of the package uses only ``pencil(x)``, ``quad``, ``level``, ``scale``.
+    ``(nvars, n, n)`` stack or None (all zero); ``pencil(x)`` (one GEMV,
+    bit for bit ``tensordot``) and the level test read its n*n-wide rows.
     """
 
     __slots__ = ("constant", "coeffs", "nvars")
@@ -104,8 +104,8 @@ class AffinePencil:
     def __call__(self, x) -> np.ndarray:
         if self.coeffs is None:
             return self.constant.copy()
-        x = np.asarray(x, dtype=float)
-        return self.constant + np.tensordot(x, self.coeffs, axes=1)
+        x = np.asarray(x, dtype=float) @ self.coeffs.reshape(self.nvars, -1)
+        return self.constant + x.reshape(self.constant.shape)
 
     def quad(self, v: np.ndarray) -> np.ndarray:
         """Quadratic forms of the coefficients: entry (j, i) is v_i' A_j v_i.

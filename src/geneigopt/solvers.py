@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from . import problems as probs
 from .errors import BracketError
@@ -257,16 +258,20 @@ def _sublevel_feasible(pencil: AffinePencil, fs: FeasibleSet,
                        x_start: np.ndarray, slack: float, max_iters: int):
     """Search the feasible set for x with lmax(C(x)) <= slack, C = pencil.
 
-    Polyak steps toward the zero level of the convex function
-    h(x) = lmax(C0 + sum_j x_j C_j).  Returns (found, witness, best_value).
+    Polyak steps on h(x) = lmax(C(x)), each one GEMV for C(x), LAPACK's top
+    pair (h, v) alone and one GEMV for v'C_j v.  Returns (found, x, best_h).
     """
+    n = pencil.dim
+    flat = np.zeros((pencil.nvars, n * n)) if pencil.coeffs is None \
+        else pencil.coeffs.reshape(pencil.nvars, -1)
     x = project_feasible(x_start, fs)
     best_h = math.inf
     best_x = x.copy()
     since_improve = 0
     for _ in range(max_iters):
-        w, vecs = np.linalg.eigh(pencil(x))
-        h = float(w[-1])
+        w, vecs = scipy.linalg.eigh(pencil(x), subset_by_index=[n - 1, n - 1],
+                                    check_finite=False)  # C(x) is finite
+        h = float(w[0])
         if math.isinf(best_h) or h < best_h - 1e-14 * (1.0 + abs(best_h)):
             best_h = h
             best_x = x.copy()
@@ -277,8 +282,7 @@ def _sublevel_feasible(pencil: AffinePencil, fs: FeasibleSet,
             return True, x, h
         if since_improve > 300:
             break
-        v = vecs[:, -1]
-        g = pencil.quad(v)
+        g = flat @ (vecs @ vecs.T).ravel()
         gnorm2 = float(g @ g)
         if gnorm2 <= 1e-30:
             break

@@ -29,6 +29,7 @@ def single_bar_config(tmp_path, **overrides):
         "solver": {"name": "subgradient", "max_iters": 3000},
     }
     cfg.update(overrides)
+    cfg = {k: v for k, v in cfg.items() if v is not None}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
@@ -47,6 +48,7 @@ def two_bar_grid_config(tmp_path, **overrides):
         "solver": {"name": "subgradient", "max_iters": 5000},
     }
     cfg.update(overrides)
+    cfg = {k: v for k, v in cfg.items() if v is not None}
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
@@ -183,11 +185,8 @@ def test_bisect_exit_code_when_unbracketable(tmp_path):
 
 def test_sweep_eps(tmp_path):
     path, _ = single_bar_config(
-        tmp_path, eps_schedule=[1e-2, 1e-4, 1e-6],
+        tmp_path, eps_schedule=[1e-2, 1e-4, 1e-6], eps=None,
         solver={"name": "subgradient", "max_iters": 3000})
-    del_eps = json.loads(path.read_text())
-    del_eps.pop("eps")
-    path.write_text(json.dumps(del_eps))
     assert cli.main(["solve", str(path)]) == cli.EXIT_OK
     result = json.loads((tmp_path / "config.result.json").read_text())
     sweep = result["sweep"]
@@ -204,7 +203,7 @@ def test_solve_sweeps_the_lower_bound(tmp_path, monkeypatch):
     schedule = [1e-2, 1e-3, 1e-4]
     path, _ = two_bar_grid_config(
         tmp_path, formulation="lower_bound_eps", eps_schedule=schedule,
-        solver={"name": "subgradient", "max_iters": 2000})
+        eps=None, solver={"name": "subgradient", "max_iters": 2000})
     runs = []
     original = cli.solvers.eps_continuation
 
@@ -262,6 +261,8 @@ def test_readme_commands_exist():
      "solver/name"),
     # an exact formulation has nothing to sweep
     ({"eps_schedule": [1e-2, 1e-4], "formulation": "exact"}, "formulation"),
+    # the schedule replaces eps: a config with both is ambiguous
+    ({"eps_schedule": [1e-2, 1e-4], "eps": 0.5}, "eps"),
 ])
 def test_bad_sweep_is_config_error(tmp_path, capsys, overrides, field):
     path, _ = single_bar_config(tmp_path, **overrides)
@@ -421,13 +422,13 @@ def test_non_finite_config_number_is_config_error(tmp_path, capsys, overrides,
     assert f"config error: invalid config field {field}" in out.err
 
 
-def robust_5x3_config(tmp_path, **overrides):
+def example_config(tmp_path, name="truss_5x3_robust.json", **overrides):
+    """A shipped example config, edited by ``overrides``, in tmp_path."""
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(here, "examples-configs",
-                           "truss_5x3_robust.json")) as fh:
+    with open(os.path.join(here, "examples-configs", name)) as fh:
         cfg = json.load(fh)
     cfg.update(overrides)
-    path = tmp_path / "robust.json"
+    path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
 
@@ -437,8 +438,8 @@ def test_singular_exact_solve_is_typed_error(tmp_path, capsys, monkeypatch,
                                              solver):
     # at eps = 0 a first-order solve stops on a singular K(x): the config
     # is rejected before the model is built or a solver runs
-    path = robust_5x3_config(tmp_path, formulation="exact",
-                             solver={"name": solver})
+    path = example_config(tmp_path, formulation="exact",
+                          solver={"name": solver})
     ran = []
     for owner, name in ((cli, "build_from_config"),
                         (cli.solvers, "projected_subgradient"),
@@ -452,9 +453,29 @@ def test_singular_exact_solve_is_typed_error(tmp_path, capsys, monkeypatch,
     assert ran == []
 
 
+@pytest.mark.parametrize("solver", ["subgradient", "smoothed_apg"])
+def test_lower_bound_on_a_stiffness_free_dof_is_typed_error(
+        tmp_path, capsys, monkeypatch, solver):
+    # node 1's y DOF has no stiffness at any design, so no area floor keeps
+    # K(x) definite: one Cholesky of K(1) rejects it before a solver runs
+    path = example_config(tmp_path, "single_bar_robust.json",
+                          formulation="lower_bound_eps", eps=1e-4,
+                          solver={"name": solver})
+    ran = []
+    for name in ("projected_subgradient", "smoothed_apg"):
+        monkeypatch.setattr(cli.solvers, name,
+                            lambda *a, _n=name: ran.append(_n))
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert (f"config error: formulation: lower_bound_eps with {solver} "
+            f"needs K(x) > 0") in out.err
+    assert ran == []
+
+
 def test_overflowing_load_is_typed_error(tmp_path, capsys):
     # Q Q' overflows to +inf: the pencil constant is checked for finiteness
-    path = robust_5x3_config(tmp_path, load_scale=1e200)
+    path = example_config(tmp_path, load_scale=1e200)
     assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
     out = capsys.readouterr()
     assert "Traceback" not in out.out + out.err

@@ -429,6 +429,26 @@ def test_constant_pencil_matches_dense_zero_coefficients():
                if isinstance(h, np.ndarray))
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (7, 3), (40, 12)])
+def test_pencil_evaluation_is_the_tensordot_bit_for_bit(m, n):
+    # the subgradient trajectories and the bisection's warm start depend
+    # on these bits: the GEMV must sum exactly as tensordot
+    rng = np.random.default_rng(10 * m + n)
+    a = AffinePencil(np.diag(rng.uniform(0.0, 1.0, n)),
+                     [f @ f.T for f in rng.standard_normal((m, n, 2))])
+    b = AffinePencil(np.zeros((n, n)),
+                     [np.outer(g, g) for g in rng.standard_normal((m, n))])
+    q = rng.standard_normal((n, 1))
+    const = AffinePencil.constant_pencil(q @ q.T, m)
+    for pencil in (a, b, a.level(b, 2.5, 1e-3), const):
+        coeffs = np.zeros((m, n, n)) if pencil.coeffs is None \
+            else pencil.coeffs
+        for _ in range(3):
+            x = rng.uniform(0.0, 2.0, m)
+            assert np.array_equal(
+                pencil(x), pencil.constant + np.tensordot(x, coeffs, axes=1))
+
+
 def test_level_pencil_and_scale():
     rng = np.random.default_rng(43)
     m, n, eps, alpha = 6, 4, 1e-3, 2.5

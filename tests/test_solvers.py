@@ -1,12 +1,13 @@
 """Tests for the projection, subgradient, smoothed-gradient and bisection solvers."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from geneigopt import geneig, problems, solvers, truss
+from geneigopt import cli, geneig, problems, solvers, truss
 from geneigopt.errors import BracketError
 from geneigopt.geneig import AffinePencil
 from geneigopt.problems import (
@@ -308,6 +309,86 @@ def test_bisection_unbounded_objective_raises():
     spec = ProblemSpec(EIGENFREQUENCY, model, TWO_BAR_EQ, eps=0.0)
     with pytest.raises(BracketError):
         bisection_global(spec, opts=SolverOptions(max_iters=200))
+
+
+def _random_level_pencil(rng, m, n, alpha=0.3, eps=1e-3):
+    """A random level pencil A - alpha*(B + eps*I) (coefficients not PSD)."""
+    a = AffinePencil(np.diag(rng.uniform(0.0, 1.0, n)),
+                     [f @ f.T for f in rng.standard_normal((m, n, 2))])
+    b = AffinePencil(np.zeros((n, n)),
+                     [np.outer(g, g) for g in rng.standard_normal((m, n))])
+    return a.level(b, alpha, eps)
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (9, 6), (30, 12)])
+def test_level_search_step_matches_the_full_eigh_and_quad(monkeypatch, m, n):
+    # one search step: h from the top pair alone and the GEMV subgradient g
+    # against the full eigh and pencil.quad, read off the Polyak step
+    # x - (h / |g|^2) g that the search hands to the projection
+    rng = np.random.default_rng(7 * m + n)
+    level = _random_level_pencil(rng, m, n)
+    fs = FeasibleSet(l=np.ones(m), v0=10.0 * m, kind=problems.VOLUME_LE)
+    steps = []
+    monkeypatch.setattr(solvers, "project_feasible",
+                        lambda y, fs: steps.append(y) or project_feasible(y, fs))
+    for _ in range(4):
+        x0 = rng.uniform(0.5, 1.5, m)
+        steps.clear()
+        found, x, h = solvers._sublevel_feasible(level, fs, x0, -math.inf, 1)
+        assert not found and np.array_equal(x, x0)
+        w, vecs = np.linalg.eigh(level(x0))
+        assert abs(h - w[-1]) <= 1e-12 * np.max(np.abs(w))
+        g = level.quad(vecs[:, -1])
+        want = (h / float(g @ g)) * g
+        assert np.allclose(x0 - steps[-1], want, rtol=0.0,
+                           atol=1e-12 * (1.0 + np.max(np.abs(want))))
+
+
+def test_sublevel_search_on_a_coefficient_free_level_pencil():
+    # C(x) = (1 - alpha) qq' - alpha*eps*I for every x: one eigensolve
+    # decides, and the zero subgradient ends the search
+    rng = np.random.default_rng(3)
+    m, n, eps = 5, 4, 1e-3
+    q = rng.standard_normal((n, 1))
+    const = AffinePencil.constant_pencil(q @ q.T, m)
+    fs = FeasibleSet(l=np.ones(m), v0=float(m), kind=problems.VOLUME_LE)
+    x0 = rng.uniform(0.0, 2.0, m)
+    for alpha, feasible in ((0.5, False), (2.0, True)):
+        level = const.level(const, alpha, eps)
+        assert level.coeffs is None
+        found, x, h = solvers._sublevel_feasible(level, fs, x0, 1e-12, 50)
+        assert found == feasible
+        assert np.array_equal(x, project_feasible(x0, fs))
+        top = np.linalg.eigvalsh(level(x))[-1]
+        assert abs(h - top) <= 1e-12 * (1.0 + abs(h))
+
+
+@pytest.fixture(scope="module")
+def eigfreq_5x3():
+    """The shipped 5x3 eigenfrequency spec and, as the bisection starts
+    its searches, the design of a short subgradient run."""
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = cli.load_config(os.path.join(here, "examples-configs",
+                                       "truss_5x3_eigenfrequency.json"))
+    _, model = cli.build_from_config(cfg)
+    spec = cli.problem_from_config(cfg, model)
+    warm = projected_subgradient(spec, None, SolverOptions(max_iters=4000))
+    return spec, warm.x_final
+
+
+@pytest.mark.parametrize("alpha, feasible", [(2300.0, True), (1000.0, False)])
+def test_sublevel_search_on_the_shipped_5x3_model(eigfreq_5x3, alpha,
+                                                  feasible):
+    # the optimal level lies near 2274.6: 2300 has a witness, 1000 none
+    spec, x_start = eigfreq_5x3
+    pa, pb = spec.objective_pencils()
+    slack = 1e-9 * (1.0 + pa.scale() + alpha * pb.scale(spec.eps))
+    level = pa.level(pb, alpha, spec.eps)
+    found, x, h = solvers._sublevel_feasible(level, spec.feasible, x_start,
+                                             slack, 1000)
+    assert found == feasible
+    assert spec.feasible.contains(x)
+    assert abs(h - np.linalg.eigvalsh(level(x))[-1]) <= 1e-9 * (1 + abs(h))
 
 
 # ---------------------------------------------------------------- continuation
