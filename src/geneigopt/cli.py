@@ -238,7 +238,7 @@ def problem_from_config(cfg: dict, model, eps: float | None = None):
         if cfg["problem"] == problems.ROBUST_COMPLIANCE else problems.VOLUME_EQ
     formulation = cfg.get("formulation", FORM_PENCIL_EPS)
     if eps is None:
-        eps = cfg.get("eps", 0.0 if formulation == FORM_EXACT else 1e-6)
+        eps = cfg.get("eps", 1e-6)
     lower_bound = eps if formulation == FORM_LOWER_BOUND_EPS else 0.0
     pencil_eps = eps if formulation == FORM_PENCIL_EPS else 0.0
     fs = FeasibleSet(l=model.volumes, v0=vol["v0"],
@@ -283,8 +283,11 @@ def result_record(cfg: dict, gs, model, report, wall_time: float) -> dict:
     }
 
 
-def _require_parent_dir(path: str, field: str):
-    """Fail before the solve, not at write time, on a missing directory."""
+def _require_output_path(path: str, field: str):
+    """Fail before the solve, not at write time, on an empty path, an
+    existing directory or a missing parent directory."""
+    if not path or os.path.isdir(path):
+        raise ConfigError(f"{field}: {path!r} is not a file path", field=field)
     parent = os.path.dirname(path) or os.curdir
     if not os.path.isdir(parent):
         raise ConfigError(f"{field}: directory {parent} does not exist",
@@ -374,7 +377,7 @@ def render_svg(result: dict, out_path: str,
 
 def _dispatch_solve(cfg: dict, config_path: str) -> int:
     for key, path in cfg.get("output", {}).items():
-        _require_parent_dir(path, f"output/{key}")
+        _require_output_path(path, f"output/{key}")
     solver_name = cfg.get("solver", {}).get("name", "subgradient")
     schedule = cfg.get("eps_schedule")
     if schedule is not None:
@@ -392,6 +395,8 @@ def _dispatch_solve(cfg: dict, config_path: str) -> int:
                           f"{solver_name}", field="formulation")
     if schedule is not None and "eps" in cfg:
         raise ConfigError("eps: an eps_schedule replaces eps", field="eps")
+    if cfg.get("formulation") == FORM_EXACT and "eps" in cfg:
+        raise ConfigError("eps: formulation exact has no eps", field="eps")
     gs, model = build_from_config(cfg)
     if solver_name != "bisection" and \
             cfg.get("formulation") == FORM_LOWER_BOUND_EPS:
@@ -402,22 +407,18 @@ def _dispatch_solve(cfg: dict, config_path: str) -> int:
                               " needs K(x) > 0; use pencil_eps", "formulation")
     opts = solver_options_from_config(cfg)
     spec = problem_from_config(cfg, model, schedule[0] if schedule else None)
-    start = time.perf_counter()
-    if schedule:
-        reports = solvers.eps_continuation(spec, schedule, opts,
-                                           method=solver_name)
-    elif solver_name == "bisection":
-        reports = [solvers.bisection_global(spec, opts=opts)]
-    else:
-        solve = solvers.smoothed_apg if solver_name == "smoothed_apg" \
-            else solvers.projected_subgradient
-        reports = [solve(spec, None, opts)]
-    final = reports[-1]
-    wall = time.perf_counter() - start
-    record = result_record(cfg, gs, model, final, wall)
     # the formulation's eps: the pencil shift, else the area floor
     eps_values = [float(e) for e in
                   schedule or [spec.eps or spec.feasible.lower_bound]]
+    start = time.perf_counter()
+    if solver_name == "bisection":
+        reports = [solvers.bisection_global(spec, opts=opts)]
+    else:  # without a schedule, a one-step continuation
+        reports = solvers.eps_continuation(spec, eps_values, opts,
+                                           method=solver_name)
+    final = reports[-1]
+    wall = time.perf_counter() - start
+    record = result_record(cfg, gs, model, final, wall)
     if schedule:
         record["sweep"] = [
             {"eps": eps, "obj_final": r.obj_final,
@@ -452,7 +453,7 @@ def main(argv=None) -> int:
         if args.command == "render":
             result = _read_json(args.result, "result")
             out = args.out or os.path.splitext(args.result)[0] + ".svg"
-            _require_parent_dir(out, "-o")
+            _require_output_path(out, "-o")
             try:
                 render_svg(result, out, args.threshold)
             except (KeyError, TypeError, IndexError, ValueError) as exc:

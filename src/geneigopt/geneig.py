@@ -56,8 +56,8 @@ class AffinePencil:
     Coefficient matrices must be PSD (element stiffness and mass matrices
     are); the constant term need only be finite, so that shifted pencils
     used in bisection can reuse the evaluation path.  ``coeffs`` is the
-    ``(nvars, n, n)`` stack or None (all zero); ``pencil(x)`` (one GEMV,
-    bit for bit ``tensordot``) and the level test read its n*n-wide rows.
+    ``(nvars, n, n)`` stack or None (all zero); ``pencil(x)`` (one GEMV)
+    and the level test read its n*n-wide rows.
     """
 
     __slots__ = ("constant", "coeffs", "nvars")
@@ -189,27 +189,17 @@ def lambda_max_ext(x, y) -> GenEigResult:
 def lambda_min_ext(x, y) -> float:
     """Extended minimum generalized eigenvalue: sup{a >= 0 | X - aY >= 0}.
 
-    Returns +inf when Y is numerically zero.  Otherwise the value equals
-    the infimum of the quotient v'Xv / v'Yv over v outside ker Y: with C as
-    in ``lambda_max_ext``, the bottom eigenvalue alone of (S, V_r'YV_r) for
-    S the Schur complement of C's kernel block (the minimization over the
-    ker-Y component of v).
+    For a > 0, X - aY >= 0 exactly when (1/a)X - Y >= 0, so the value is
+    1 / lambda_max_ext(Y, X) with 1/0 = +inf (Y numerically zero, or 0/0)
+    and 1/inf = 0 (a kernel direction of X escapes the kernel of Y).
     """
-    a, b, split = _require_psd_pair(x, y, split=True)
-    k = symmat.kernel_basis(split).shape[1]
-    r = split.range
-    if r.shape[1] == 0:
-        return math.inf
-    c = split.basis.T @ a @ split.basis
-    if k:
-        # min over the free ker-Y component: Schur complement with a
-        # pseudo-inverse (directions in ker Y inside ker X contribute nothing)
-        c_ru = c[k:, :k]
-        c[k:, k:] -= c_ru @ np.linalg.pinv(c[:k, :k], hermitian=True,
-                                           rcond=KERNEL_TOL) @ c_ru.T
-    w = scipy.linalg.eigh(c[k:, k:], r.T @ b @ r, eigvals_only=True,
-                          subset_by_index=[0, 0])
-    return max(float(w[0]), 0.0)
+    try:
+        t = lambda_max_ext(y, x).value
+    except NotPositiveSemidefinite:
+        # the swapped call checks Y first: name this function's own argument
+        bad = "first" if symmat.is_psd(y) else "second"
+        raise NotPositiveSemidefinite(f"{bad} matrix is not PSD") from None
+    return math.inf if t == 0.0 else 1.0 / t
 
 
 def _require_positive(value: float, name: str, error: type):

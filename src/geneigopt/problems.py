@@ -84,7 +84,9 @@ class ProblemSpec:
         model = self.model
         if self.kind == ROBUST_COMPLIANCE:
             q = model.q_matrix
-            a = AffinePencil.constant_pencil(q @ q.T, model.k_pencil.nvars)
+            with np.errstate(over="ignore"):  # +inf is InvalidMatrix below
+                qq = q @ q.T
+            a = AffinePencil.constant_pencil(qq, model.k_pencil.nvars)
             return a, model.k_pencil
         return model.m_pencil, model.k_pencil
 

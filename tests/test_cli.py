@@ -179,7 +179,7 @@ def test_bisect_exit_code_when_unbracketable(tmp_path):
     path, _ = single_bar_config(
         tmp_path, problem="eigenfrequency", nonstructural_mass=1.0,
         volume={"v0": 2.0, "constraint": "eq"}, formulation="exact",
-        solver={"name": "bisection", "max_iters": 300})
+        eps=None, solver={"name": "bisection", "max_iters": 300})
     assert cli.main(["solve", str(path)]) == cli.EXIT_BRACKET
 
 
@@ -377,6 +377,37 @@ def test_output_in_missing_directory_is_config_error(tmp_path, capsys,
     assert "nodir" in out.err
 
 
+@pytest.mark.parametrize("key", ["result", "history", "svg"])
+@pytest.mark.parametrize("kind", ["empty", "directory"])
+def test_output_that_is_not_a_file_path_is_config_error(
+        tmp_path, capsys, monkeypatch, key, kind):
+    # an empty path or an existing directory is rejected before the solve,
+    # not after result.json is written
+    target = "" if kind == "empty" else str(tmp_path)
+    path, _ = single_bar_config(tmp_path, output={key: target})
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the model was built or a solver ran")
+
+    monkeypatch.setattr(cli, "build_from_config", no_run)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert out.err.startswith(f"config error: output/{key}: ")
+    assert not (tmp_path / "config.result.json").exists()
+
+
+def test_render_to_a_directory_is_config_error(tmp_path, capsys):
+    path, _ = two_bar_grid_config(tmp_path)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["render", str(tmp_path / "grid.result.json"),
+                     "-o", str(tmp_path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert out.err.startswith("config error: -o: ")
+
+
 def test_render_to_missing_directory_is_config_error(tmp_path, capsys):
     path, _ = two_bar_grid_config(tmp_path)
     assert cli.main(["solve", str(path)]) == cli.EXIT_OK
@@ -450,6 +481,21 @@ def test_singular_exact_solve_is_typed_error(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in out.out + out.err
     assert (f"config error: formulation: exact needs solver bisection, not "
             f"{solver}") in out.err
+    assert ran == []
+
+
+def test_exact_formulation_with_eps_is_config_error(tmp_path, capsys,
+                                                   monkeypatch):
+    # exact has no eps to use: a given eps is rejected, not silently dropped
+    path = example_config(tmp_path, "single_bar_robust.json",
+                          formulation="exact", eps=0.5,
+                          solver={"name": "bisection"})
+    ran = []
+    monkeypatch.setattr(cli, "build_from_config", lambda *a: ran.append(a))
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert "config error: eps: formulation exact has no eps" in out.err
     assert ran == []
 
 

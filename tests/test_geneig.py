@@ -99,16 +99,20 @@ def rank_four_pair():
     return 0.5 * (x + x.T), y
 
 
-@pytest.mark.parametrize("fn", [lambda_max_ext, lambda_min_ext])
+@pytest.mark.parametrize("fn", [
+    pytest.param(lambda x, y: lambda_max_ext(x, y), id="lambda_max_ext"),
+    # lambda_min_ext(Y, X) is 1 / lambda_max_ext(X, Y): the same calls
+    pytest.param(lambda x, y: lambda_min_ext(y, x), id="lambda_min_ext"),
+])
 def test_extended_values_decompose_y_once(monkeypatch, fn):
     x, y = rank_four_pair()
     calls = record_solver_calls(monkeypatch)
     fn(x, y)
     # one Cholesky of X + t*I (the PSD check), one eigh of Y, then only the
-    # one eigenvalue returned of the pencil reduced to Y's 4-dim range
+    # top eigenvalue of the pencil reduced to Y's 4-dim range
     assert [(name, subset) for name, _, subset in calls] == [
         ("numpy.linalg.cholesky", None), ("numpy.linalg.eigh", None),
-        ("scipy.linalg.eigh", [3, 3] if fn is lambda_max_ext else [0, 0])]
+        ("scipy.linalg.eigh", [3, 3])]
     shift = 1e-10 * (1.0 + np.max(np.abs(x)))
     assert np.allclose(calls[0][1], x + shift * np.eye(6), rtol=0.0,
                        atol=1e-15)
@@ -135,8 +139,12 @@ def test_empty_numerical_range_gives_the_zero_y_answers():
         (0.0, None, Certificate.ZERO_ZERO)
     r = lambda_max_ext(np.eye(2), tiny)
     assert r.value == math.inf and r.certificate is Certificate.KERNEL_ESCAPE
-    assert lambda_min_ext(np.eye(2), tiny) == math.inf
+    # lambda_min_ext swaps the pair: (tiny, I) has a well-posed top pair,
+    # so lambda_min_ext(I, tiny) is the exact 1e9, while (tiny, 0) is 0/0
+    assert lambda_min_ext(np.eye(2), tiny) == pytest.approx(1e9, rel=1e-15)
     assert lambda_min_ext(np.zeros((2, 2)), tiny) == math.inf
+    # and (I, tiny) escapes: lambda_min_ext(tiny, I) = 1/inf = 0
+    assert lambda_min_ext(tiny, np.eye(2)) == 0.0
 
 
 def generalized_route(x, y):
@@ -264,6 +272,27 @@ def test_lambda_min_diagonal():
 
 def test_lambda_min_vanishing_direction():
     assert lambda_min_ext(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == 0.0
+
+
+def test_lambda_min_is_the_reciprocal_of_the_swapped_lambda_max():
+    rng = np.random.default_rng(17)
+    pairs = [verify.random_psd_pair(rng, int(rng.integers(2, 8)))
+             for _ in range(200)]
+    tiny = 1e-9 * np.eye(2)
+    pairs += [(np.eye(2), tiny), (tiny, np.eye(2)), (np.zeros((2, 2)), tiny),
+              (tiny, np.zeros((2, 2)))]
+    for x, y in pairs:
+        t = lambda_max_ext(y, x).value
+        assert lambda_min_ext(x, y) == (math.inf if t == 0.0 else 1.0 / t)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (0, "first matrix is not PSD"), (1, "second matrix is not PSD")])
+def test_lambda_min_names_its_own_non_psd_argument(bad, message):
+    pair = [np.eye(2), np.eye(2)]
+    pair[bad] = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(NotPositiveSemidefinite, match=f"^{message}$"):
+        lambda_min_ext(*pair)
 
 
 def test_lambda_min_membership_characterization():
