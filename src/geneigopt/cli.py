@@ -215,11 +215,18 @@ def build_from_config(cfg: dict):
         nodes = np.asarray(cfg["nodes"], dtype=float)
         bars = np.asarray(cfg["bars"], dtype=int)
         for j, (a, b) in enumerate(bars):
-            if not (0 <= a < n_nodes and 0 <= b < n_nodes) or \
-                    np.array_equal(nodes[a], nodes[b]):
-                raise ConfigError(f"bars: bar {j} has zero length or a node "
-                                  f"outside 0..{n_nodes - 1}", field="bars")
+            if not (0 <= a < n_nodes and 0 <= b < n_nodes):
+                raise ConfigError(f"bars: bar {j} has a node outside "
+                                  f"0..{n_nodes - 1}", field="bars")
         gs = truss.GroundStructure(nodes=nodes, bars=bars, fixed_dofs=fixed)
+    with np.errstate(all="ignore"):  # build_model's lengths, silently
+        d = gs.nodes[gs.bars[:, 1]] - gs.nodes[gs.bars[:, 0]]
+        lengths = np.linalg.norm(d, axis=1)
+    bad = np.flatnonzero(~((lengths > 0) & (lengths < math.inf)))
+    if bad.size:
+        field = "bars" if grid is None else "grid"
+        raise ConfigError(f"{field}: bar {bad[0]} has length {lengths[bad[0]]}"
+                          ", not finite and positive", field=field)
 
     mat = truss.Material(**cfg.get("material", {}))
     load_node = _node_index(cfg["load_node"], "load_node", n_nodes, grid)
@@ -294,25 +301,35 @@ def _require_output_path(path: str, field: str):
                           field=field)
 
 
-def _write_result(record: dict, runs, cfg: dict, config_path: str):
-    """Write the result, the history of each (report, eps) run and the SVG."""
-    out = cfg.get("output", {})
+def _output_paths(cfg: dict, config_path: str) -> dict:
+    """Checked output paths by key: result and history (defaults next to
+    the config) and, if asked for, svg; no two are one file or the config."""
     base, _ = os.path.splitext(config_path)
-    result_path = out.get("result", base + ".result.json")
-    history_path = out.get("history", base + ".history.csv")
-    with open(result_path, "w") as fh:
+    paths = {"result": base + ".result.json", "history": base + ".history.csv",
+             **cfg.get("output", {})}
+    taken = {os.path.realpath(config_path): "the config"}
+    for key, path in paths.items():
+        field = f"output/{key}"
+        _require_output_path(path, field)
+        other = taken.setdefault(os.path.realpath(path), field)
+        if other != field:
+            raise ConfigError(f"{field}: same file as {other}", field=field)
+    return paths
+
+
+def _write_result(record: dict, runs, paths: dict):
+    """Write the result, the history of each (report, eps) run and the SVG."""
+    with open(paths["result"], "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
-    with open(history_path, "w", newline="") as fh:
+    with open(paths["history"], "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "objective", "eps"])
         for rep, eps in runs:
             for it, obj in rep.history:
                 writer.writerow([it, repr(obj), eps])
-    svg_path = out.get("svg")
-    if svg_path:
-        render_svg(record, svg_path)
-    return result_path
+    if "svg" in paths:
+        render_svg(record, paths["svg"])
 
 
 def render_svg(result: dict, out_path: str,
@@ -376,8 +393,7 @@ def render_svg(result: dict, out_path: str,
 
 
 def _dispatch_solve(cfg: dict, config_path: str) -> int:
-    for key, path in cfg.get("output", {}).items():
-        _require_output_path(path, f"output/{key}")
+    paths = _output_paths(cfg, config_path)
     solver_name = cfg.get("solver", {}).get("name", "subgradient")
     schedule = cfg.get("eps_schedule")
     if schedule is not None:
@@ -426,8 +442,8 @@ def _dispatch_solve(cfg: dict, config_path: str) -> int:
                  r.x_final - final.x_final))}
             for eps, r in zip(eps_values, reports)
         ]
-    path = _write_result(record, zip(reports, eps_values), cfg, config_path)
-    print(f"wrote {path}  (objective {final.obj_final:.6g}, "
+    _write_result(record, zip(reports, eps_values), paths)
+    print(f"wrote {paths['result']}  (objective {final.obj_final:.6g}, "
           f"{final.active_bars}/{model.m} active bars)")
     return EXIT_OK
 

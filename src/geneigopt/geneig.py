@@ -56,8 +56,8 @@ class AffinePencil:
     Coefficient matrices must be PSD (element stiffness and mass matrices
     are); the constant term need only be finite, so that shifted pencils
     used in bisection can reuse the evaluation path.  ``coeffs`` is the
-    ``(nvars, n, n)`` stack or None (all zero); ``pencil(x)`` (one GEMV)
-    and the level test read its n*n-wide rows.
+    ``(nvars, n, n)`` stack or None (all zero); ``pencil(x)`` and
+    ``quad(Z)`` are each one GEMV on its n*n-wide rows.
     """
 
     __slots__ = ("constant", "coeffs", "nvars")
@@ -107,18 +107,16 @@ class AffinePencil:
         x = np.asarray(x, dtype=float) @ self.coeffs.reshape(self.nvars, -1)
         return self.constant + x.reshape(self.constant.shape)
 
-    def quad(self, v: np.ndarray) -> np.ndarray:
-        """Quadratic forms of the coefficients: entry (j, i) is v_i' A_j v_i.
-
-        ``v`` is one vector (result of shape ``(nvars,)``) or a block of
-        column vectors (result of shape ``(nvars, k)``).
-        """
+    def quad(self, z: np.ndarray) -> np.ndarray:
+        """<C_j, Z> per coefficient C_j: one GEMV for an n x n matrix Z (for
+        an eigenprojector Z, a spectral gradient); v'C_j v for a vector v."""
+        if z.shape not in ((self.dim,), (self.dim, self.dim)):
+            raise ValueError(f"quad needs shape (n,) or (n, n), got {z.shape}")
         if self.coeffs is None:
-            return np.zeros((self.nvars,) + v.shape[1:])
-        if v.ndim == 1:
-            return np.einsum("j,mjk,k->m", v, self.coeffs, v)
-        # one BLAS product for the whole block, then the column dots
-        return np.einsum("jn,mjn->mn", v, self.coeffs @ v)
+            return np.zeros(self.nvars)
+        if z.ndim == 1:  # robust_7x4_subgrad's reference pins this order
+            return np.einsum("j,mjk,k->m", z, self.coeffs, z)
+        return self.coeffs.reshape(self.nvars, -1) @ z.ravel()
 
     @staticmethod
     def constant_pencil(matrix, nvars: int) -> "AffinePencil":
@@ -309,5 +307,6 @@ def _smoothed_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float,
     """Internal: allows eps = 0 when B(x) is positive definite."""
     w, vecs = _pencil_eigh(pa, pb, x, eps)
     value, sigma = _log_sum_exp(w, mu)
-    grad = (pa.quad(vecs) - pb.quad(vecs) * w[np.newaxis, :]) @ sigma
+    grad = pa.quad((vecs * sigma) @ vecs.T) \
+        - pb.quad((vecs * (sigma * w)) @ vecs.T)
     return value, grad

@@ -262,8 +262,6 @@ def _sublevel_feasible(pencil: AffinePencil, fs: FeasibleSet,
     pair (h, v) alone and one GEMV for v'C_j v.  Returns (found, x, best_h).
     """
     n = pencil.dim
-    flat = np.zeros((pencil.nvars, n * n)) if pencil.coeffs is None \
-        else pencil.coeffs.reshape(pencil.nvars, -1)
     x = project_feasible(x_start, fs)
     best_h = math.inf
     best_x = x.copy()
@@ -282,7 +280,7 @@ def _sublevel_feasible(pencil: AffinePencil, fs: FeasibleSet,
             return True, x, h
         if since_improve > 300:
             break
-        g = flat @ (vecs @ vecs.T).ravel()
+        g = pencil.quad(vecs @ vecs.T)
         gnorm2 = float(g @ g)
         if gnorm2 <= 1e-30:
             break
@@ -356,7 +354,8 @@ def bisection_global(spec: ProblemSpec,
     history = []
     tol = opts.bisect_tol * (1.0 + alpha_hi)
     it = 0
-    while hi - lo > tol:
+    # with tol below one ulp, the midpoint rounds to lo or hi: stop there
+    while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
         it += 1
         mid = 0.5 * (lo + hi)
         ok, x_w, _ = feasible(mid, witness)

@@ -315,7 +315,9 @@ def test_criterion_06_reciprocal_identity():
     for _ in range(300):
         dim = int(rng.integers(2, 7))
         x, y = verify.random_psd_pair(rng, dim)
-        lmax = geneig.lambda_max_ext(x, y).value
+        # lambda_min_ext(y, x) is 1 / lambda_max_ext(x, y): the other side
+        # of the identity comes from the independent membership oracle
+        lmax = verify.lambda_max_by_membership(x, y)
         lmin = geneig.lambda_min_ext(y, x)
         if math.isinf(lmax):
             branch_ok &= lmin <= 1e-9 * (1 + float(np.max(np.abs(y))))

@@ -6,6 +6,7 @@ import math
 import os
 import shutil
 import subprocess
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -153,6 +154,29 @@ def test_bad_explicit_geometry_is_config_error(tmp_path, capsys, overrides,
     out = capsys.readouterr()
     assert "Traceback" not in out.out + out.err
     assert f"config error: {field}" in out.err
+
+
+@pytest.mark.parametrize("make, overrides, field", [
+    (single_bar_config, {"nodes": [[0.0, 0.0], [1e-300, 0.0]]}, "bars"),
+    (single_bar_config, {"nodes": [[0.0, 0.0], [1e300, 0.0]]}, "bars"),
+    (single_bar_config, {"nodes": [[-1e300, 0.0], [1e300, 0.0]]}, "bars"),
+    (two_bar_grid_config, {"grid": {"nx": 2, "ny": 2, "spacing": 1e-300}},
+     "grid"),
+    (two_bar_grid_config, {"grid": {"nx": 2, "ny": 2, "spacing": 1e200}},
+     "grid"),
+])
+def test_bar_length_out_of_range_is_config_error(tmp_path, capsys, make,
+                                                 overrides, field):
+    # d * d under- or overflows in the length: a silent config error, not
+    # numpy warnings and then a non-finite pencil coefficient
+    path, _ = make(tmp_path, **overrides)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    assert caught == []
+    out = capsys.readouterr()
+    assert out.err.startswith(f"config error: {field}: ")
+    assert out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("make, overrides, field", [
@@ -395,6 +419,34 @@ def test_output_that_is_not_a_file_path_is_config_error(
     assert "Traceback" not in out.out + out.err
     assert out.err.startswith(f"config error: output/{key}: ")
     assert not (tmp_path / "config.result.json").exists()
+
+
+@pytest.mark.parametrize("output, field", [
+    ({"result": "same.out", "history": "same.out"}, "output/history"),
+    ({"result": "same.out", "svg": "same.out"}, "output/svg"),
+    ({"history": "same.out", "svg": "./same.out"}, "output/svg"),
+    ({"result": "config.json"}, "output/result"),
+    ({"history": "config.json"}, "output/history"),
+    ({"svg": "config.json"}, "output/svg"),
+    # against the filled-in defaults, config.result.json and .history.csv
+    ({"result": "config.history.csv"}, "output/history"),
+    ({"svg": "config.result.json"}, "output/svg"),
+])
+def test_outputs_that_name_one_file_are_config_error(
+        tmp_path, capsys, monkeypatch, output, field):
+    monkeypatch.chdir(tmp_path)
+    path, cfg = single_bar_config(tmp_path, output=output)
+    text = path.read_text()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the model was built or a solver ran")
+
+    monkeypatch.setattr(cli, "build_from_config", no_run)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert out.err.startswith(f"config error: {field}: ")
+    assert path.read_text() == text
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 def test_render_to_a_directory_is_config_error(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Tests for extended generalized eigenvalues of PSD pairs."""
 
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from geneigopt import geneig, symmat, verify
+from geneigopt import cli, geneig, symmat, verify
 from geneigopt.errors import (
     DegeneratePair,
     EmptyFeasibleSet,
@@ -313,7 +315,9 @@ def test_reciprocal_identity():
     rng = np.random.default_rng(13)
     for _ in range(100):
         x, y = verify.random_psd_pair(rng, int(rng.integers(2, 6)))
-        lmax = lambda_max_ext(x, y).value
+        # lambda_min_ext(y, x) is 1 / lambda_max_ext(x, y): the other side
+        # of the identity comes from the independent membership oracle
+        lmax = verify.lambda_max_by_membership(x, y)
         lmin = lambda_min_ext(y, x)
         if math.isinf(lmax):
             assert lmin <= 1e-9 * (1 + np.max(np.abs(y)))
@@ -505,6 +509,50 @@ def test_level_pencil_and_scale():
     assert const.scale() == float(np.max(np.abs(const.constant)))
 
 
+def _quad_pencils(rng, m, n):
+    """Dense, diagonal, level and constant pencils with m coefficients."""
+    dense = AffinePencil(np.diag(rng.uniform(0.0, 1.0, n)),
+                         [f @ f.T for f in rng.standard_normal((m, n, 2))])
+    diag = AffinePencil(np.zeros((n, n)),
+                        [np.diag(d) for d in rng.uniform(0.0, 1.0, (m, n))])
+    q = rng.standard_normal((n, 1))
+    return (dense, diag, dense.level(diag, 2.5, 1e-3),
+            AffinePencil.constant_pencil(q @ q.T, m))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (7, 3), (40, 12)])
+def test_quad_of_a_matrix_is_the_inner_product(m, n):
+    rng = np.random.default_rng(100 * m + n)
+    for pencil in _quad_pencils(rng, m, n):
+        coeffs = np.zeros((m, n, n)) if pencil.coeffs is None \
+            else pencil.coeffs
+        for z in (rng.standard_normal((n, n)), np.eye(n)):
+            got = pencil.quad(z)
+            want = np.einsum("mjk,jk->m", coeffs, z)
+            assert got.shape == (m,)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (7, 3), (40, 12)])
+def test_quad_of_a_vector_keeps_its_summation_order(m, n):
+    # robust_7x4_subgrad's pinned answer depends on these bits
+    rng = np.random.default_rng(200 * m + n)
+    for pencil in _quad_pencils(rng, m, n):
+        for _ in range(3):
+            v = rng.standard_normal(n)
+            want = np.zeros(m) if pencil.coeffs is None \
+                else np.einsum("j,mjk,k->m", v, pencil.coeffs, v)
+            assert np.array_equal(pencil.quad(v), want)
+
+
+def test_quad_rejects_other_shapes():
+    rng = np.random.default_rng(9)
+    for pencil in _quad_pencils(rng, 4, 3):
+        for shape in [(3, 4), (4, 3), (3, 1), (2, 2), (4,), (1, 3, 3)]:
+            with pytest.raises(ValueError):
+                pencil.quad(np.ones(shape))
+
+
 def test_singular_denominator_is_typed():
     # B(x) is singular on the edge x2 = 0; at eps = 0 no Cholesky exists
     a, b = two_bar_pencils()
@@ -670,6 +718,26 @@ def test_smoothed_grad_matches_three_operand_oracle():
         oracle = (quad_a - quad_b * w) @ sigma
         assert np.linalg.norm(grad - oracle) <= \
             1e-12 * np.linalg.norm(oracle)
+
+
+def test_smoothed_grad_allocates_no_coefficient_sized_block():
+    # the M and K pencils of the 7x4 benchmark model: m = 251, n = 48; the
+    # coefficient stack is 4.6 MB, a (n, n) projector 18 kB
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = cli.load_config(os.path.join(here, "bench", "configs",
+                                       "robust_7x4_subgrad.json"))
+    _, model = cli.build_from_config(cfg)
+    pa, pb = model.m_pencil, model.k_pencil
+    x = np.full(model.m, 0.1 / float(model.volumes.sum()))
+    geneig._smoothed_value_grad(pa, pb, x, 1e-6, 1e-2)
+    tracemalloc.start()
+    try:
+        _, grad = geneig._smoothed_value_grad(pa, pb, x, 1e-6, 1e-2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grad.shape == (model.m,) and np.all(np.isfinite(grad))
+    assert peak < 1_000_000
 
 
 def test_smoothed_requires_positive_mu():

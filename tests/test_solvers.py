@@ -2,6 +2,8 @@
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -286,6 +288,30 @@ def test_bisection_two_bar_robust():
     rep = bisection_global(spec, opts=SolverOptions(max_iters=20000))
     assert abs(rep.obj_final - 0.5) <= 1e-6
     assert np.max(np.abs(rep.x_final - [2.0, 0.0])) <= 1e-5
+
+
+def test_bisection_ends_when_the_tolerance_is_below_one_ulp():
+    # 0.5 * (lo + hi) rounds to lo or hi long before hi - lo < 1e-17;
+    # run in a child so that a loop that never ends fails the test
+    script = (
+        "import numpy as np\n"
+        "from geneigopt import problems, solvers\n"
+        "fs = problems.FeasibleSet(l=np.ones(2), v0=2.0, kind='le')\n"
+        "spec = problems.ProblemSpec('robust_compliance',\n"
+        "    problems.robust_two_bar_model(), fs, eps=1e-6)\n"
+        "rep = solvers.bisection_global(spec, solvers.SolverOptions(\n"
+        "    max_iters=200, bisect_tol=1e-17))\n"
+        "print(rep.obj_final, rep.iterations, rep.termination)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    level, iterations, termination = proc.stdout.split()
+    assert abs(float(level) - 0.5) <= 1e-6
+    assert int(iterations) <= 64 and termination == "bisected"
 
 
 def test_bisection_zero_level_shortcut():
