@@ -196,7 +196,7 @@ def _node_index(entry: dict, field: str, n_nodes: int,
 
 
 def build_from_config(cfg: dict):
-    """Construct (ground structure, model, problem spec fragments)."""
+    """Construct the ground structure and its pencil model: (gs, model)."""
     grid = cfg.get("grid")
     n_nodes = grid["nx"] * grid["ny"] if grid is not None else len(cfg["nodes"])
     if grid is not None and n_nodes < 2:
@@ -219,16 +219,22 @@ def build_from_config(cfg: dict):
                 raise ConfigError(f"bars: bar {j} has a node outside "
                                   f"0..{n_nodes - 1}", field="bars")
         gs = truss.GroundStructure(nodes=nodes, bars=bars, fixed_dofs=fixed)
-    with np.errstate(all="ignore"):  # build_model's lengths, silently
+    mat = truss.Material(**cfg.get("material", {}))
+    with np.errstate(all="ignore"):  # build_model's bar constants, silently
         d = gs.nodes[gs.bars[:, 1]] - gs.nodes[gs.bars[:, 0]]
         lengths = np.linalg.norm(d, axis=1)
+        stiffness = mat.young_modulus / lengths
+        mass = 0.5 * mat.density * lengths
     bad = np.flatnonzero(~((lengths > 0) & (lengths < math.inf)))
     if bad.size:
         field = "bars" if grid is None else "grid"
         raise ConfigError(f"{field}: bar {bad[0]} has length {lengths[bad[0]]}"
                           ", not finite and positive", field=field)
+    bad = np.flatnonzero(~(np.isfinite(stiffness) & np.isfinite(mass)))
+    if bad.size:
+        raise ConfigError(f"material: bar {bad[0]} (length {lengths[bad[0]]}) "
+                          "overflows its stiffness or mass", field="material")
 
-    mat = truss.Material(**cfg.get("material", {}))
     load_node = _node_index(cfg["load_node"], "load_node", n_nodes, grid)
     model = truss.build_model(
         gs, mat, load_node,

@@ -18,7 +18,9 @@ class SingularDenominator(GenEigError):
 
 
 class InvalidEpsilon(GenEigError):
-    """Regularization parameter must be strictly positive."""
+    """Regularization eps negative, NaN or infinite; ``lambda_max_eps`` also
+    rejects eps = 0, which ``composite_value_grad`` and ``smoothed_value_grad``
+    accept."""
 
 
 class InvalidSmoothing(GenEigError):

@@ -212,8 +212,7 @@ def lambda_max_eps(x, y, eps: float) -> GenEigResult:
     _require_positive(eps, "eps", InvalidEpsilon)
     a, b, _ = _require_psd_pair(x, y)
     n = a.shape[0]
-    w, vecs = scipy.linalg.eigh(a, b + eps * np.eye(n),
-                                subset_by_index=[n - 1, n - 1])
+    w, vecs = _eigh_eps(a, b, eps, subset_by_index=[n - 1, n - 1])
     return GenEigResult(max(float(w[0]), 0.0), vecs[:, 0],
                         Certificate.REDUCED_PENCIL)
 
@@ -236,20 +235,29 @@ def rayleigh_sup_oracle(x, y, samples: int, seed: int) -> float:
     return float(np.max(num[keep] / den[keep], initial=0.0))
 
 
-def _pencil_eigh(pa: AffinePencil, pb: AffinePencil, x, eps: float):
-    """All eigenpairs (ascending) of (A(x), B(x) + eps*I): the solvers' one
-    generalized eigensolve.  Allows eps = 0 (the lower-bound formulations);
-    a B(x) + eps*I that is not positive definite is ``SingularDenominator``.
-    """
-    x = np.asarray(x, dtype=float)
-    a = pa(x)
-    b = pb(x) + eps * np.eye(pa.dim)
+def _eigh_eps(a: np.ndarray, b: np.ndarray, eps: float, **subset):
+    """``scipy.linalg.eigh(A, B + eps*I)``; a B + eps*I that is not positive
+    definite (possible at eps = 0, or for a B only within ``PSD_TOL`` of
+    PSD) is ``SingularDenominator``."""
     try:
-        return scipy.linalg.eigh(a, b)
+        return scipy.linalg.eigh(a, b + eps * np.eye(a.shape[0]), **subset)
     except np.linalg.LinAlgError as exc:
         raise SingularDenominator(
-            f"B(x) + eps*I is not positive definite at eps = {eps}: {exc}"
+            f"denominator + eps*I is not positive definite at eps = {eps}: {exc}"
         ) from None
+
+
+def _pencil_eigh(pa: AffinePencil, pb: AffinePencil, x, eps: float):
+    """All eigenpairs (ascending) of (A(x), B(x) + eps*I): every pencil
+    evaluation's one eigensolve, and the one check of its domain, x finite
+    and nonnegative (``OutOfDomain``), eps finite and nonnegative
+    (``InvalidEpsilon``).  eps = 0 needs B(x) positive definite."""
+    x = np.asarray(x, dtype=float)
+    if not np.all((0 <= x) & (x < math.inf)):
+        raise OutOfDomain("design vector must be finite and nonnegative")
+    if not 0 <= eps < math.inf:
+        raise InvalidEpsilon(f"eps must be nonnegative and finite, got {eps}")
+    return _eigh_eps(pa(x), pb(x), eps)
 
 
 def _log_sum_exp(w: np.ndarray, mu: float):
@@ -261,32 +269,19 @@ def _log_sum_exp(w: np.ndarray, mu: float):
     return mu * (zmax + math.log(total)), expz / total
 
 
-def _pencil_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float):
-    """Value, gradient and top eigenvector of x -> lmax(A(x), B(x) + eps*I)."""
-    w, vecs = _pencil_eigh(pa, pb, x, eps)
-    value = max(float(w[-1]), 0.0)
-    v = vecs[:, -1]
-    grad = pa.quad(v) - value * pb.quad(v)
-    return value, grad, v
-
-
-def _checked_design(x, eps: float) -> np.ndarray:
-    """x as a float array, after the domain checks of the public entries."""
-    x = np.asarray(x, dtype=float)
-    if not np.all((0 <= x) & (x < math.inf)):
-        raise OutOfDomain("design vector must be finite and nonnegative")
-    _require_positive(eps, "eps", InvalidEpsilon)
-    return x
-
-
 def composite_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float):
-    """Evaluate lmax(A(x), B(x) + eps*I) with a subgradient.
+    """Evaluate lmax(A(x), B(x) + eps*I) with a subgradient, for eps >= 0
+    (eps = 0 when B(x) is positive definite, else ``SingularDenominator``).
 
     The gradient entry j is v'A_j v - value * v'B_j v for the returned top
     eigenvector v (normalized v'(B(x)+eps*I)v = 1); at a multiple top
     eigenvalue this is one element of the subdifferential.
     """
-    return _pencil_value_grad(pa, pb, _checked_design(x, eps), eps)
+    w, vecs = _pencil_eigh(pa, pb, x, eps)
+    value = max(float(w[-1]), 0.0)
+    v = vecs[:, -1]
+    grad = pa.quad(v) - value * pb.quad(v)
+    return value, grad, v
 
 
 def smoothed_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float,
@@ -295,16 +290,10 @@ def smoothed_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float,
 
     f_mu(x) = mu * log sum_i exp(lambda_i / mu) over all n generalized
     eigenvalues of (A(x), B(x) + eps*I), with the matching softmax-weighted
-    gradient.  Satisfies lmax <= f_mu <= lmax + mu * log(n).
+    gradient.  Satisfies lmax <= f_mu <= lmax + mu * log(n).  eps >= 0 as
+    for ``composite_value_grad``; mu > 0.
     """
-    x = _checked_design(x, eps)
     _require_positive(mu, "mu", InvalidSmoothing)
-    return _smoothed_value_grad(pa, pb, x, eps, mu)
-
-
-def _smoothed_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float,
-                         mu: float):
-    """Internal: allows eps = 0 when B(x) is positive definite."""
     w, vecs = _pencil_eigh(pa, pb, x, eps)
     value, sigma = _log_sum_exp(w, mu)
     grad = pa.quad((vecs * sigma) @ vecs.T) \

@@ -26,8 +26,10 @@ import scipy.linalg
 
 from . import problems as probs
 from .errors import BracketError
-from .geneig import (AffinePencil, _log_sum_exp, _pencil_eigh,
-                     _pencil_value_grad, _smoothed_value_grad)
+from .geneig import AffinePencil, _log_sum_exp, _pencil_eigh
+# the benchmark's tracer times the solvers' calls under these two names
+from .geneig import composite_value_grad as _pencil_value_grad
+from .geneig import smoothed_value_grad as _smoothed_value_grad
 from .problems import FeasibleSet, ProblemSpec
 
 #: Bars below this fraction of the largest area count as removed.

@@ -179,6 +179,24 @@ def test_bar_length_out_of_range_is_config_error(tmp_path, capsys, make,
     assert out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("overrides", [
+    {"nodes": [[0.0, 0.0], [1e-150, 0.0]],
+     "material": {"young_modulus": 1e200}},
+    {"nodes": [[0.0, 0.0], [1e10, 0.0]], "material": {"density": 1e300}},
+], ids=["stiffness", "mass"])
+def test_bar_constant_overflow_is_config_error(tmp_path, capsys, overrides):
+    # a valid length whose E/L or 0.5*rho*L overflows: a config error naming
+    # the bar, not numpy warnings and then a non-finite pencil coefficient
+    path, _ = single_bar_config(tmp_path, **overrides)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    assert caught == []
+    out = capsys.readouterr()
+    assert out.err.startswith("config error: material: bar 0 ")
+    assert out.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("make, overrides, field", [
     (two_bar_grid_config,
      {"grid": {"nx": 3, "ny": 3, "spacing": 1.0}, "load_node": {"ix": 3, "iy": 0}},

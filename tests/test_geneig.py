@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from geneigopt import cli, geneig, symmat, verify
+from geneigopt import cli, symmat, verify
 from geneigopt.errors import (
     DegeneratePair,
     EmptyFeasibleSet,
@@ -336,6 +336,13 @@ def test_lambda_max_eps_examples():
     assert abs(v - 2.0 / 2.2) < 1e-12
 
 
+def test_lambda_max_eps_nearly_psd_denominator_is_typed():
+    # Y passes the PSD check (-1e-11 is within PSD_TOL) but Y + eps*I is
+    # indefinite, so no Cholesky of the denominator exists
+    with pytest.raises(SingularDenominator, match="not positive definite"):
+        lambda_max_eps(np.eye(2), np.diag([-1e-11, 1.0]), 1e-12)
+
+
 def test_lambda_max_eps_requires_positive_eps():
     with pytest.raises(InvalidEpsilon):
         lambda_max_eps(np.eye(2), np.eye(2), 0.0)
@@ -556,11 +563,11 @@ def test_quad_rejects_other_shapes():
 def test_singular_denominator_is_typed():
     # B(x) is singular on the edge x2 = 0; at eps = 0 no Cholesky exists
     a, b = two_bar_pencils()
-    for evaluate in (geneig._pencil_value_grad,
-                     lambda *args: geneig._smoothed_value_grad(*args, 0.1)):
+    for evaluate in (composite_value_grad,
+                     lambda *args: smoothed_value_grad(*args, 0.1)):
         with pytest.raises(SingularDenominator, match="not positive definite"):
             evaluate(a, b, [1.0, 0.0], 0.0)
-    value = geneig._pencil_value_grad(a, b, [1.0, 0.0], 1e-9)[0]
+    value = composite_value_grad(a, b, [1.0, 0.0], 1e-9)[0]
     assert abs(value - 1.0) < 1e-8
 
 
@@ -587,8 +594,14 @@ def test_composite_value_grad_domain_checks():
     a, b = two_bar_pencils()
     with pytest.raises(OutOfDomain):
         composite_value_grad(a, b, [-1.0, 1.0], 0.1)
+    # eps = 0 is the unregularized pencil: lmax(diag(1, 2), I) = 2, and the
+    # value is homogeneous of degree 0 in x, so the gradient vanishes
+    value, grad, _ = composite_value_grad(a, b, [1.0, 1.0], 0.0)
+    assert value == 2.0 and np.allclose(grad, 0.0)
+    with pytest.raises(SingularDenominator):
+        composite_value_grad(a, b, [1.0, 0.0], 0.0)
     with pytest.raises(InvalidEpsilon):
-        composite_value_grad(a, b, [1.0, 1.0], 0.0)
+        composite_value_grad(a, b, [1.0, 1.0], -1e-3)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -729,10 +742,10 @@ def test_smoothed_grad_allocates_no_coefficient_sized_block():
     _, model = cli.build_from_config(cfg)
     pa, pb = model.m_pencil, model.k_pencil
     x = np.full(model.m, 0.1 / float(model.volumes.sum()))
-    geneig._smoothed_value_grad(pa, pb, x, 1e-6, 1e-2)
+    smoothed_value_grad(pa, pb, x, 1e-6, 1e-2)
     tracemalloc.start()
     try:
-        _, grad = geneig._smoothed_value_grad(pa, pb, x, 1e-6, 1e-2)
+        _, grad = smoothed_value_grad(pa, pb, x, 1e-6, 1e-2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

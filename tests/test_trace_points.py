@@ -9,6 +9,8 @@ benchmark smoke test's two in-process tracer checks catch; they run here too.
 
 from pathlib import Path
 
+from geneigopt import problems, solvers
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -27,3 +29,23 @@ def test_bench_tracer_checks(monkeypatch):
 
     test_smoke.test_wrappers_record_nested_spans()
     test_smoke.test_traced_restores_after_an_error()
+
+
+def test_solvers_call_the_traced_names(monkeypatch):
+    # the benchmark's geneig.value_grad_* and geneig.smoothed_* rows read
+    # these spans; a solver calling the geneig functions directly would
+    # leave both rows at 0
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    import tracing
+
+    spec = problems.ProblemSpec(
+        problems.ROBUST_COMPLIANCE, problems.robust_two_bar_model(),
+        problems.FeasibleSet(l=[1.0, 1.0], v0=2.0), eps=1e-6)
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        tracer.recording = True
+        solvers.projected_subgradient(spec)
+        solvers.smoothed_apg(spec, opts=solvers.SolverOptions(max_iters=5))
+    table = tracing.SpanTable(tracer)
+    assert table.calls("geneig._pencil_value_grad") >= 1
+    assert table.calls("geneig._smoothed_value_grad") >= 1
