@@ -54,6 +54,10 @@ _SOLVER_SCHEMA = {
     },
 }
 
+#: A node by ``node`` index or, on a grid, by ``ix``/``iy``.
+_NODE_REF = {key: {"type": "integer", "minimum": 0}
+             for key in ("ix", "iy", "node")}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -82,23 +86,12 @@ CONFIG_SCHEMA = {
                 "type": "object",
                 "additionalProperties": False,
                 "required": ["dirs"],
-                "properties": {
-                    "ix": {"type": "integer", "minimum": 0},
-                    "iy": {"type": "integer", "minimum": 0},
-                    "node": {"type": "integer", "minimum": 0},
-                    "dirs": {"enum": ["x", "y", "xy"]},
-                },
+                "properties": {**_NODE_REF,
+                               "dirs": {"enum": ["x", "y", "xy"]}},
             },
         },
-        "load_node": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "ix": {"type": "integer", "minimum": 0},
-                "iy": {"type": "integer", "minimum": 0},
-                "node": {"type": "integer", "minimum": 0},
-            },
-        },
+        "load_node": {"type": "object", "additionalProperties": False,
+                      "properties": _NODE_REF},
         "load_scale": {"type": "number", "exclusiveMinimum": 0},
         "load_dims": {"enum": [1, 2]},
         "nonstructural_mass": {"type": "number", "minimum": 0},
@@ -125,15 +118,9 @@ CONFIG_SCHEMA = {
         "eps_schedule": {"type": "array", "minItems": 1,
                          "items": {"type": "number", "exclusiveMinimum": 0}},
         "solver": _SOLVER_SCHEMA,
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "result": {"type": "string"},
-                "history": {"type": "string"},
-                "svg": {"type": "string"},
-            },
-        },
+        "output": {"type": "object", "additionalProperties": False,
+                   "properties": {key: {"type": "string"}
+                                  for key in ("result", "history", "svg")}},
     },
 }
 
@@ -271,12 +258,8 @@ def result_record(cfg: dict, gs, model, report, wall_time: float) -> dict:
         "config_digest": config_digest(cfg),
         "tool_version": __version__,
         "wall_time_s": wall_time,
-        "model": {
-            "m": model.m,
-            "n": model.n,
-            "bar_count": gs.n_bars,
-            "node_count": gs.n_nodes,
-        },
+        "model": {"m": model.m, "n": model.n, "bar_count": gs.n_bars,
+                  "node_count": gs.n_nodes},
         "geometry": {
             "nodes": gs.nodes.tolist(),
             "bars": gs.bars.tolist(),
@@ -385,12 +368,8 @@ def render_svg(result: dict, out_path: str,
         print("warning: no bars above the display threshold", file=sys.stderr)
     for node in range(nodes.shape[0]):
         px, py = pos(node)
-        if node == load_node:
-            fill = "red"
-        elif node in fixed_nodes:
-            fill = "black"
-        else:
-            fill = "white"
+        fill = "red" if node == load_node else \
+            "black" if node in fixed_nodes else "white"
         ET.SubElement(svg, "circle", cx=f"{px:.2f}", cy=f"{py:.2f}", r="5",
                       fill=fill, stroke="black",
                       attrib={"stroke-width": "1"})
@@ -487,11 +466,10 @@ def main(argv=None) -> int:
                 raise ConfigError("--seed: must be a non-negative integer")
             results = verify.run_suites(args.suite, args.seed)
             print(json.dumps(results, indent=2))
-            ok = all(r["passed"] for r in results)
             for r in results:
-                status = "PASS" if r["passed"] else "FAIL"
-                print(f"{status} {r['name']} {r['detail']}", file=sys.stderr)
-            return EXIT_OK if ok else 1
+                print(f"{'PASS' if r['passed'] else 'FAIL'} {r['name']} "
+                      f"{r['detail']}", file=sys.stderr)
+            return EXIT_OK if all(r["passed"] for r in results) else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

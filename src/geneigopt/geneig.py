@@ -57,7 +57,9 @@ class AffinePencil:
     are); the constant term need only be finite, so that shifted pencils
     used in bisection can reuse the evaluation path.  ``coeffs`` is the
     ``(nvars, n, n)`` stack or None (all zero); ``pencil(x)`` and
-    ``quad(Z)`` are each one GEMV on its n*n-wide rows.
+    ``quad(Z)`` are each one GEMV on its n*n-wide rows.  The constructor
+    symmetrizes any stack and checks it PSD by one batched eigvalsh;
+    ``rank_one`` and ``diagonal`` check only the factors, in O(nvars * n).
     """
 
     __slots__ = ("constant", "coeffs", "nvars")
@@ -71,12 +73,52 @@ class AffinePencil:
             raw = np.asarray(coefficients, dtype=float)
             if raw.shape[1:] != a0.shape:
                 raise ValueError("pencil matrices must share one dimension")
-            coeffs = raw + raw.swapaxes(1, 2)
-            coeffs *= 0.5
+            if max(raw.max(), -raw.min()) > 0.5 * np.finfo(float).max:
+                raw = 0.5 * raw  # raw + raw' would overflow
+                coeffs = raw + raw.swapaxes(1, 2)
+            else:
+                coeffs = raw + raw.swapaxes(1, 2)
+                coeffs *= 0.5
             _require_psd_stack(coeffs)
         self.constant = a0
         self.coeffs = coeffs
         self.nvars = 0 if coeffs is None else coeffs.shape[0]
+
+    @staticmethod
+    def rank_one(constant, vectors, weights) -> "AffinePencil":
+        """C_j = w_j v_j v_j' for the rows v_j of ``vectors`` and the
+        weights w_j >= 0, e.g. truss stiffnesses (E / L_j) g_j g_j'."""
+        v = np.asarray(vectors, dtype=float)
+        w = np.asarray(weights, dtype=float)
+        pencil = AffinePencil.constant_pencil(constant, len(w))
+        if v.shape != (len(w), pencil.dim):
+            raise ValueError("need one n-vector per weight")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            peak = np.max(np.abs(v), axis=1)
+            top = peak * peak * w  # max|C_j|, rounded as C_j's entry is
+        _require_each(np.isfinite(top), InvalidMatrix, "has non-finite entries")
+        _require_each(w >= 0, NotPositiveSemidefinite, "is not PSD")
+        if len(w):
+            pencil.coeffs = v[:, :, None] * v[:, None, :]
+            pencil.coeffs *= w[:, None, None]
+        return pencil
+
+    @staticmethod
+    def diagonal(constant, diagonals) -> "AffinePencil":
+        """C_j = diag(d_j) for the rows d_j >= 0 of ``diagonals``, e.g.
+        lumped masses."""
+        d = np.asarray(diagonals, dtype=float)
+        pencil = AffinePencil.constant_pencil(constant, len(d))
+        if d.shape != (len(d), pencil.dim):
+            raise ValueError("need one n-vector per coefficient")
+        _require_each(np.isfinite(d).all(axis=1), InvalidMatrix,
+                      "has non-finite entries")
+        _require_each((d >= 0).all(axis=1), NotPositiveSemidefinite,
+                      "is not PSD")
+        if len(d):
+            pencil.coeffs = np.zeros(d.shape + d.shape[1:])
+            pencil.coeffs[:, range(pencil.dim), range(pencil.dim)] = d
+        return pencil
 
     @property
     def dim(self) -> int:
@@ -126,18 +168,22 @@ class AffinePencil:
         return pencil
 
 
+def _require_each(ok: np.ndarray, error: type, what: str):
+    """Raise ``error`` naming the first pencil coefficient j without ok[j]."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise error(f"pencil coefficient {bad[0]} {what}")
+
+
 def _require_psd_stack(coeffs: np.ndarray):
     """``symmat.is_psd`` on each matrix of a stack, in one batched eigvalsh;
     raises ``InvalidMatrix``, else ``NotPositiveSemidefinite``, naming the
     first bad coefficient (each scaled by its own ``1 + max|C_j|``)."""
     scale = 1.0 + np.maximum(coeffs.max(axis=(1, 2)), -coeffs.min(axis=(1, 2)))
-    bad = np.flatnonzero(~np.isfinite(scale))
-    if bad.size:
-        raise InvalidMatrix(f"pencil coefficient {bad[0]} has non-finite entries")
+    _require_each(np.isfinite(scale), InvalidMatrix, "has non-finite entries")
     lam_min = np.linalg.eigvalsh(coeffs)[:, 0]
-    bad = np.flatnonzero(lam_min < -PSD_TOL * scale)
-    if bad.size:
-        raise NotPositiveSemidefinite(f"pencil coefficient {bad[0]} is not PSD")
+    _require_each(lam_min >= -PSD_TOL * scale, NotPositiveSemidefinite,
+                  "is not PSD")
 
 
 def _require_psd_pair(x, y, *, split: bool = False):
@@ -238,13 +284,15 @@ def rayleigh_sup_oracle(x, y, samples: int, seed: int) -> float:
 def _eigh_eps(a: np.ndarray, b: np.ndarray, eps: float, **subset):
     """``scipy.linalg.eigh(A, B + eps*I)``; a B + eps*I that is not positive
     definite (possible at eps = 0, or for a B only within ``PSD_TOL`` of
-    PSD) is ``SingularDenominator``."""
+    PSD) is ``SingularDenominator``, an inf or NaN ``InvalidMatrix``."""
     try:
         return scipy.linalg.eigh(a, b + eps * np.eye(a.shape[0]), **subset)
     except np.linalg.LinAlgError as exc:
         raise SingularDenominator(
             f"denominator + eps*I is not positive definite at eps = {eps}: {exc}"
         ) from None
+    except ValueError as exc:
+        raise InvalidMatrix(f"A(x) or B(x) + eps*I: {exc}") from None
 
 
 def _pencil_eigh(pa: AffinePencil, pb: AffinePencil, x, eps: float):
@@ -257,7 +305,8 @@ def _pencil_eigh(pa: AffinePencil, pb: AffinePencil, x, eps: float):
         raise OutOfDomain("design vector must be finite and nonnegative")
     if not 0 <= eps < math.inf:
         raise InvalidEpsilon(f"eps must be nonnegative and finite, got {eps}")
-    return _eigh_eps(pa(x), pb(x), eps)
+    with np.errstate(over="ignore", invalid="ignore"):  # eigh rejects inf, NaN
+        return _eigh_eps(pa(x), pb(x), eps)
 
 
 def _log_sum_exp(w: np.ndarray, mu: float):

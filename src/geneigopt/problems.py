@@ -160,7 +160,7 @@ def phi_eps(model, x, eps: float) -> float:
 
 def _diag_pencil(coeff_diags, constant_diag=None) -> AffinePencil:
     constant = np.diag(constant_diag or [0.0] * len(coeff_diags[0]))
-    return AffinePencil(constant, [np.diag(d) for d in coeff_diags])
+    return AffinePencil.diagonal(constant, coeff_diags)
 
 
 def demo_model_without_mass() -> PencilModel:

@@ -92,9 +92,11 @@ def build_model(gs: GroundStructure, mat: Material, load_node: int,
 
     Row j of G holds bar j's direction vector g_j on the free DOFs, so
     K_j = (E / L_j) g_j g_j'; M_j is diagonal with half the bar mass on
-    each free DOF of both endpoints.  The load weight matrix Q gets
-    ``load_dims`` unit columns (scaled by ``load_scale``) on the load
-    node's DOFs; the non-structural mass sits on the same node's free DOFs.
+    each free DOF of both endpoints.  Both pencils are built from these
+    factors (``AffinePencil.rank_one`` and ``diagonal``), PSD by
+    construction.  The load weight matrix Q gets ``load_dims`` unit
+    columns (scaled by ``load_scale``) on the load node's DOFs; the
+    non-structural mass sits on the same node's free DOFs.
     """
     if load_dims not in (1, 2):
         raise ValueError("load_dims must be 1 or 2")
@@ -122,16 +124,14 @@ def build_model(gs: GroundStructure, mat: Material, load_node: int,
     col = dofs[bar, slot]
     g = np.zeros((m, n))
     g[bar, col] = np.hstack((-unit, unit))[bar, slot]
-    k_coeffs = g[:, :, None] * g[:, None, :]
-    k_coeffs *= (mat.young_modulus / lengths)[:, None, None]
-    m_coeffs = np.zeros((m, n, n))
-    m_coeffs[bar, col, col] = (0.5 * mat.density * lengths)[bar]
+    masses = np.zeros((m, n))
+    masses[bar, col] = (0.5 * mat.density * lengths)[bar]
 
     m0 = np.zeros((n, n))
     m0[load, load] = nonstructural_mass
     q = np.zeros((n, load_dims))
     q[load[:load_dims], np.arange(load_dims)] = load_scale
 
-    return PencilModel(k_pencil=AffinePencil(np.zeros((n, n)), k_coeffs),
-                       m_pencil=AffinePencil(m0, m_coeffs), volumes=lengths,
-                       q_matrix=q, load_node=load_node)
+    k = AffinePencil.rank_one(np.zeros((n, n)), g, mat.young_modulus / lengths)
+    return PencilModel(k_pencil=k, m_pencil=AffinePencil.diagonal(m0, masses),
+                       volumes=lengths, q_matrix=q, load_node=load_node)

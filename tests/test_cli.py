@@ -197,6 +197,22 @@ def test_bar_constant_overflow_is_config_error(tmp_path, capsys, overrides):
     assert out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("solver", ["subgradient", "smoothed_apg", "bisection"])
+def test_overflowing_pencil_value_is_typed_error(tmp_path, capsys, solver):
+    # E / L = 1e308 is finite and so is the stiffness stack, but K(x) at the
+    # start design x = 2 overflows: a typed error from the first eigensolve,
+    # not numpy warnings and a scipy traceback
+    path, _ = single_bar_config(tmp_path, material={"young_modulus": 1e308},
+                                solver={"name": solver, "max_iters": 50})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    assert caught == []
+    out = capsys.readouterr()
+    assert out.err.startswith("error: A(x) or B(x) + eps*I: ")
+    assert out.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("make, overrides, field", [
     (two_bar_grid_config,
      {"grid": {"nx": 3, "ny": 3, "spacing": 1.0}, "load_node": {"ix": 3, "iy": 0}},

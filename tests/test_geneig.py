@@ -3,6 +3,7 @@
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -442,6 +443,113 @@ def test_affine_pencil_checks_the_whole_stack():
     bad[2][1, 3] = np.nan
     with pytest.raises(InvalidMatrix, match="coefficient 2 "):
         AffinePencil(np.zeros((n, n)), bad)
+
+
+def test_dense_constructor_keeps_a_symmetric_stack_above_half_max():
+    # (C + C')/2 overflows where an entry exceeds half the largest float;
+    # an exactly symmetric stack comes back as it went in, with no warning
+    g = np.array([[-1.0, 0.0, 1.0, 0.0], [0.6, -0.8, 0.0, 0.0]])
+    stack = g[:, :, None] * g[:, None, :]
+    stack *= np.array([1e308, 1.7e308])[:, None, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pencil = AffinePencil(np.zeros((4, 4)), stack)
+    assert pencil.coeffs.tobytes() == stack.tobytes()
+    # below half the largest float the symmetrization is (C + C') * 0.5
+    rng = np.random.default_rng(8)
+    raw = rng.standard_normal((5, 3, 3))
+    raw = raw @ raw.swapaxes(1, 2) + np.eye(3) \
+        + 1e-3 * rng.standard_normal((5, 3, 3))
+    want = raw + raw.swapaxes(1, 2)
+    want *= 0.5
+    assert AffinePencil(np.zeros((3, 3)), raw).coeffs.tobytes() == want.tobytes()
+
+
+def random_factors(rng, m, n):
+    """Rows with exact zeros and weights/diagonals with zeros, as in a truss."""
+    v = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5)
+    w = rng.uniform(0.0, 3.0, m) * (rng.random(m) < 0.8)
+    d = rng.uniform(0.0, 2.0, (m, n)) * (rng.random((m, n)) < 0.5)
+    return v, w, d
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_structured_constructors_match_the_dense_constructor(seed):
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+    v, w, d = random_factors(rng, m, n)
+    a0 = np.diag(rng.uniform(0.0, 1.0, n))
+    rank_one = AffinePencil.rank_one(a0, v, w)
+    diagonal = AffinePencil.diagonal(a0, d)
+    dense_k = AffinePencil(a0, [wj * np.outer(vj, vj) for vj, wj in zip(v, w)])
+    dense_m = AffinePencil(a0, [np.diag(dj) for dj in d])
+    for got, want in ((rank_one, dense_k), (diagonal, dense_m)):
+        assert got.nvars == want.nvars == m
+        assert got.coeffs.dtype == want.coeffs.dtype == float
+        assert got.coeffs.flags.c_contiguous
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert np.array_equal(got.constant, want.constant)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_structured_coefficients_pass_a_psd_oracle(seed):
+    rng = np.random.default_rng(100 + seed)
+    m, n = 40, int(rng.integers(2, 12))
+    v, w, d = random_factors(rng, m, n)
+    v *= 10.0 ** rng.uniform(-3, 3, (m, 1))
+    for pencil in (AffinePencil.rank_one(np.zeros((n, n)), v, w),
+                   AffinePencil.diagonal(np.zeros((n, n)), d)):
+        for c in pencil.coeffs:
+            assert np.array_equal(c, c.T)
+            scale = 1.0 + np.max(np.abs(c))
+            assert np.linalg.eigvalsh(c)[0] >= -1e-12 * scale
+
+
+@pytest.mark.parametrize("bad, error", [
+    (-1e-300, NotPositiveSemidefinite), (-2.0, NotPositiveSemidefinite),
+    (np.nan, InvalidMatrix), (np.inf, InvalidMatrix), (-np.inf, InvalidMatrix),
+])
+@pytest.mark.parametrize("j", [0, 3, 6])
+def test_structured_constructors_name_the_bad_factor(bad, error, j):
+    rng = np.random.default_rng(3)
+    v, w, d = random_factors(rng, 7, 4)
+    w[j], d[j, 2] = bad, bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"coefficient {j} "):
+            AffinePencil.rank_one(np.zeros((4, 4)), v, w)
+        with pytest.raises(error, match=f"coefficient {j} "):
+            AffinePencil.diagonal(np.zeros((4, 4)), d)
+
+
+def test_rank_one_checks_its_vectors_and_their_product():
+    v = np.ones((3, 2))
+    w = np.ones(3)
+    for value, j in ((np.nan, 1), (np.inf, 2)):
+        bad = v.copy()
+        bad[j, 0] = value
+        with pytest.raises(InvalidMatrix, match=f"coefficient {j} "):
+            AffinePencil.rank_one(np.zeros((2, 2)), bad, w)
+    # finite factors whose product w v v' overflows (and a zero weight on
+    # an overflowing v v'), with no RuntimeWarning on the way
+    for vj, wj in ((1e200, 1e-10), (1e160, 0.0), (1e154, 1e10)):
+        bad, bw = v.copy(), w.copy()
+        bad[1], bw[1] = vj, wj
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidMatrix, match="coefficient 1 "):
+                AffinePencil.rank_one(np.zeros((2, 2)), bad, bw)
+    # the largest product that stays finite passes
+    top = AffinePencil.rank_one(np.zeros((2, 2)), [[1e154, 0.0]], [1.7])
+    assert np.isfinite(top.coeffs).all()
+    for shape_v, shape_w in (((3, 3), 3), ((3, 2), 2), ((2,), 1)):
+        with pytest.raises(ValueError):
+            AffinePencil.rank_one(np.zeros((2, 2)), np.ones(shape_v),
+                                  np.ones(shape_w))
+    with pytest.raises(ValueError):
+        AffinePencil.diagonal(np.zeros((2, 2)), np.ones((3, 3)))
+    with pytest.raises(InvalidMatrix, match="constant"):
+        AffinePencil.diagonal(np.diag([np.nan, 1.0]), np.ones((3, 2)))
 
 
 def test_constant_pencil_has_zero_gradient_terms():

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from geneigopt import cli, truss
 from geneigopt.errors import InvalidLoadNode, NoFreeDofs
+from geneigopt.geneig import AffinePencil
 from geneigopt.truss import (
     GroundStructure,
     Material,
@@ -137,6 +139,76 @@ def test_assembly_bit_identical_to_loop_oracle(path):
     for key, want in expected.items():
         assert got[key].dtype == want.dtype and np.array_equal(got[key], want), key
     assert got["K"].flags.c_contiguous and got["M"].flags.c_contiguous
+
+
+def build_with_factors(monkeypatch, build):
+    """Run ``build`` with ``AffinePencil.rank_one`` and ``diagonal`` spied
+    on; returns the model and the arguments each constructor was given."""
+    args = {}
+    for name in ("rank_one", "diagonal"):
+        def spy(*a, _name=name, _real=getattr(AffinePencil, name)):
+            args[_name] = a
+            return _real(*a)
+        monkeypatch.setattr(AffinePencil, name, staticmethod(spy))
+    return build(), args
+
+
+def assert_equals_dense(pencil, constant, coefficient, m, chunk=128):
+    """``pencil`` equals the dense ``AffinePencil(constant, [coefficient(j)
+    for j < m])``, built a chunk at a time to bound an 11x6 grid's memory."""
+    assert pencil.nvars == m
+    assert pencil.coeffs.dtype == float and pencil.coeffs.flags.c_contiguous
+    for lo in range(0, m, chunk):
+        js = range(lo, min(lo + chunk, m))
+        dense = AffinePencil(constant, [coefficient(j) for j in js])
+        assert dense.coeffs.dtype == float and dense.coeffs.flags.c_contiguous
+        assert np.array_equal(pencil.constant, dense.constant)
+        assert np.array_equal(pencil.coeffs[js.start:js.stop], dense.coeffs)
+
+
+def assert_structured_equals_dense(monkeypatch, build):
+    """Each truss pencil equals the dense constructor's pencil of the same
+    factors, w_j * outer(g_j, g_j) and diag(d_j)."""
+    model, args = build_with_factors(monkeypatch, build)
+    k0, g, w = args["rank_one"]
+    assert_equals_dense(model.k_pencil, k0,
+                        lambda j: np.outer(g[j], g[j]) * w[j], model.m)
+    m0, d = args["diagonal"]
+    assert_equals_dense(model.m_pencil, m0, lambda j: np.diag(d[j]), model.m)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_config_pencils_equal_the_dense_constructor(monkeypatch, path):
+    cfg = cli.load_config(str(path))
+    assert_structured_equals_dense(
+        monkeypatch, lambda: cli.build_from_config(cfg)[1])
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 2), (3, 2), (7, 4), (9, 5), (11, 6)])
+def test_grid_pencils_equal_the_dense_constructor(monkeypatch, nx, ny):
+    gs = generate_ground_structure(nx, ny, 0.7,
+                                   node_dofs(nx, [(0, 0), (0, ny - 1)]))
+    assert_structured_equals_dense(monkeypatch, lambda: build_model(
+        gs, Material(2.5, 1.5), grid_node_index(nx, nx - 1, 0),
+        nonstructural_mass=0.25))
+
+
+def test_build_model_runs_no_eigensolver(monkeypatch):
+    # rank-one and diagonal coefficients are PSD by construction: set-up
+    # checks their factors, with no batched eigvalsh on the stacks
+    calls = []
+    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                        (scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh")):
+        def counting(*a, _name=f"{owner.__name__}.{name}",
+                     _real=getattr(owner, name), **kw):
+            calls.append(_name)
+            return _real(*a, **kw)
+        monkeypatch.setattr(owner, name, counting)
+    for path in CONFIGS:
+        cli.build_from_config(cli.load_config(str(path)))
+    gs = generate_ground_structure(7, 4, 1.0, node_dofs(7, [(0, 0), (0, 3)]))
+    build_model(gs, Material(1.0, 1.0), grid_node_index(7, 6, 0))
+    assert calls == []
 
 
 def test_assembly_matches_loop_oracle_on_irregular_geometry():
