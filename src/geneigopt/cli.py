@@ -258,8 +258,12 @@ def result_record(cfg: dict, gs, model, report, wall_time: float) -> dict:
         "config_digest": config_digest(cfg),
         "tool_version": __version__,
         "wall_time_s": wall_time,
-        "model": {"m": model.m, "n": model.n, "bar_count": gs.n_bars,
-                  "node_count": gs.n_nodes},
+        "model": {
+            "m": model.m,
+            "n": model.n,
+            "bar_count": gs.n_bars,
+            "node_count": gs.n_nodes,
+        },
         "geometry": {
             "nodes": gs.nodes.tolist(),
             "bars": gs.bars.tolist(),
@@ -368,8 +372,12 @@ def render_svg(result: dict, out_path: str,
         print("warning: no bars above the display threshold", file=sys.stderr)
     for node in range(nodes.shape[0]):
         px, py = pos(node)
-        fill = "red" if node == load_node else \
-            "black" if node in fixed_nodes else "white"
+        if node == load_node:
+            fill = "red"
+        elif node in fixed_nodes:
+            fill = "black"
+        else:
+            fill = "white"
         ET.SubElement(svg, "circle", cx=f"{px:.2f}", cy=f"{py:.2f}", r="5",
                       fill=fill, stroke="black",
                       attrib={"stroke-width": "1"})
@@ -466,10 +474,11 @@ def main(argv=None) -> int:
                 raise ConfigError("--seed: must be a non-negative integer")
             results = verify.run_suites(args.suite, args.seed)
             print(json.dumps(results, indent=2))
+            ok = all(r["passed"] for r in results)
             for r in results:
-                print(f"{'PASS' if r['passed'] else 'FAIL'} {r['name']} "
-                      f"{r['detail']}", file=sys.stderr)
-            return EXIT_OK if all(r["passed"] for r in results) else 1
+                status = "PASS" if r["passed"] else "FAIL"
+                print(f"{status} {r['name']} {r['detail']}", file=sys.stderr)
+            return EXIT_OK if ok else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -73,13 +73,14 @@ class AffinePencil:
             raw = np.asarray(coefficients, dtype=float)
             if raw.shape[1:] != a0.shape:
                 raise ValueError("pencil matrices must share one dimension")
-            if max(raw.max(), -raw.min()) > 0.5 * np.finfo(float).max:
-                raw = 0.5 * raw  # raw + raw' would overflow
-                coeffs = raw + raw.swapaxes(1, 2)
-            else:
-                coeffs = raw + raw.swapaxes(1, 2)
-                coeffs *= 0.5
-            _require_psd_stack(coeffs)
+            half = 0.5 * raw  # halve first: raw + raw' may overflow
+            coeffs = half + half.swapaxes(1, 2)
+            # symmat.is_psd on each C_j, scaled by its own 1 + max|C_j|
+            top = np.maximum(coeffs.max(axis=(1, 2)), -coeffs.min(axis=(1, 2)))
+            _require_each(np.isfinite(top), InvalidMatrix, "has non-finite entries")
+            lam_min = np.linalg.eigvalsh(coeffs)[:, 0]  # one batched call
+            _require_each(lam_min >= -PSD_TOL * (1.0 + top),
+                          NotPositiveSemidefinite, "is not PSD")
         self.constant = a0
         self.coeffs = coeffs
         self.nvars = 0 if coeffs is None else coeffs.shape[0]
@@ -173,17 +174,6 @@ def _require_each(ok: np.ndarray, error: type, what: str):
     bad = np.flatnonzero(~ok)
     if bad.size:
         raise error(f"pencil coefficient {bad[0]} {what}")
-
-
-def _require_psd_stack(coeffs: np.ndarray):
-    """``symmat.is_psd`` on each matrix of a stack, in one batched eigvalsh;
-    raises ``InvalidMatrix``, else ``NotPositiveSemidefinite``, naming the
-    first bad coefficient (each scaled by its own ``1 + max|C_j|``)."""
-    scale = 1.0 + np.maximum(coeffs.max(axis=(1, 2)), -coeffs.min(axis=(1, 2)))
-    _require_each(np.isfinite(scale), InvalidMatrix, "has non-finite entries")
-    lam_min = np.linalg.eigvalsh(coeffs)[:, 0]
-    _require_each(lam_min >= -PSD_TOL * scale, NotPositiveSemidefinite,
-                  "is not PSD")
 
 
 def _require_psd_pair(x, y, *, split: bool = False):
@@ -284,29 +274,31 @@ def rayleigh_sup_oracle(x, y, samples: int, seed: int) -> float:
 def _eigh_eps(a: np.ndarray, b: np.ndarray, eps: float, **subset):
     """``scipy.linalg.eigh(A, B + eps*I)``; a B + eps*I that is not positive
     definite (possible at eps = 0, or for a B only within ``PSD_TOL`` of
-    PSD) is ``SingularDenominator``, an inf or NaN ``InvalidMatrix``."""
+    PSD) is ``SingularDenominator``."""
     try:
         return scipy.linalg.eigh(a, b + eps * np.eye(a.shape[0]), **subset)
     except np.linalg.LinAlgError as exc:
         raise SingularDenominator(
             f"denominator + eps*I is not positive definite at eps = {eps}: {exc}"
         ) from None
-    except ValueError as exc:
-        raise InvalidMatrix(f"A(x) or B(x) + eps*I: {exc}") from None
 
 
 def _pencil_eigh(pa: AffinePencil, pb: AffinePencil, x, eps: float):
     """All eigenpairs (ascending) of (A(x), B(x) + eps*I): every pencil
     evaluation's one eigensolve, and the one check of its domain, x finite
     and nonnegative (``OutOfDomain``), eps finite and nonnegative
-    (``InvalidEpsilon``).  eps = 0 needs B(x) positive definite."""
+    (``InvalidEpsilon``), A(x) and B(x) finite (``InvalidMatrix``).  eps = 0
+    needs B(x) positive definite."""
     x = np.asarray(x, dtype=float)
     if not np.all((0 <= x) & (x < math.inf)):
         raise OutOfDomain("design vector must be finite and nonnegative")
     if not 0 <= eps < math.inf:
         raise InvalidEpsilon(f"eps must be nonnegative and finite, got {eps}")
-    with np.errstate(over="ignore", invalid="ignore"):  # eigh rejects inf, NaN
-        return _eigh_eps(pa(x), pb(x), eps)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        a, b = pa(x), pb(x)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InvalidMatrix("A(x) or B(x) overflows at this design vector")
+    return _eigh_eps(a, b, eps)
 
 
 def _log_sum_exp(w: np.ndarray, mu: float):

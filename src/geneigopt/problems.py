@@ -163,17 +163,19 @@ def _diag_pencil(coeff_diags, constant_diag=None) -> AffinePencil:
     return AffinePencil.diagonal(constant, coeff_diags)
 
 
+def _two_bar_model(**fields) -> PencilModel:
+    """K(x) = diag(x1, x2) and unit volumes, plus the given fields."""
+    return PencilModel(k_pencil=_diag_pencil([(1.0, 0.0), (0.0, 1.0)]),
+                       volumes=np.array([1.0, 1.0]), **fields)
+
+
 def demo_model_without_mass() -> PencilModel:
     """Two-bar instance with K(x) = diag(x1, x2), M(x) = diag(x1, 2*x2).
 
     Closed form: phi = 2 when x2 > 0, 1 when x1 > 0 = x2, 0 at the origin;
     phi_eps = max(x1/(x1+eps), 2*x2/(x2+eps)).
     """
-    return PencilModel(
-        k_pencil=_diag_pencil([(1.0, 0.0), (0.0, 1.0)]),
-        m_pencil=_diag_pencil([(1.0, 0.0), (0.0, 2.0)]),
-        volumes=np.array([1.0, 1.0]),
-    )
+    return _two_bar_model(m_pencil=_diag_pencil([(1.0, 0.0), (0.0, 2.0)]))
 
 
 def demo_model_with_mass() -> PencilModel:
@@ -184,19 +186,10 @@ def demo_model_with_mass() -> PencilModel:
     edge is (x1+1)/x1 for every x1 > 0).  phi_eps = max((x1+1)/(x1+eps),
     2*x2/(x2+eps)).
     """
-    return PencilModel(
-        k_pencil=_diag_pencil([(1.0, 0.0), (0.0, 1.0)]),
-        m_pencil=_diag_pencil([(1.0, 0.0), (0.0, 2.0)], constant_diag=(1.0, 0.0)),
-        volumes=np.array([1.0, 1.0]),
-    )
+    return _two_bar_model(m_pencil=_diag_pencil([(1.0, 0.0), (0.0, 2.0)],
+                                                constant_diag=(1.0, 0.0)))
 
 
 def robust_two_bar_model(load_scale: float = 1.0) -> PencilModel:
     """Two-bar robust instance: K(x) = diag(x1, x2), single load on DOF 1."""
-    q = np.array([[load_scale], [0.0]])
-    return PencilModel(
-        k_pencil=_diag_pencil([(1.0, 0.0), (0.0, 1.0)]),
-        m_pencil=None,
-        q_matrix=q,
-        volumes=np.array([1.0, 1.0]),
-    )
+    return _two_bar_model(q_matrix=np.array([[load_scale], [0.0]]))

@@ -75,7 +75,9 @@ class SolveReport:
 
 def _count_active(x: np.ndarray) -> int:
     top = float(np.max(x)) if len(x) else 0.0
-    return int(np.sum(x >= DISPLAY_THRESHOLD * top)) if top > 0 else 0
+    if top <= 0:
+        return 0
+    return int(np.sum(x >= DISPLAY_THRESHOLD * top))
 
 
 def project_feasible(y, fs: FeasibleSet) -> np.ndarray:

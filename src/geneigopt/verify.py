@@ -165,7 +165,11 @@ def suite_examples(grid: int = 50) -> list[dict]:
     w = demo_model_with_mass()
 
     def phi1(x):
-        return 2.0 if x[1] > 0 else 1.0 if x[0] > 0 else 0.0
+        if x[1] > 0:
+            return 2.0
+        if x[0] > 0:
+            return 1.0
+        return 0.0
 
     def phi1_eps(x, e):
         return max(x[0] / (x[0] + e), 2.0 * x[1] / (x[1] + e))

@@ -209,7 +209,7 @@ def test_overflowing_pencil_value_is_typed_error(tmp_path, capsys, solver):
         assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
     assert caught == []
     out = capsys.readouterr()
-    assert out.err.startswith("error: A(x) or B(x) + eps*I: ")
+    assert out.err.startswith("error: A(x) or B(x) overflows ")
     assert out.err.count("\n") == 1
 
 

@@ -455,7 +455,8 @@ def test_dense_constructor_keeps_a_symmetric_stack_above_half_max():
         warnings.simplefilter("error")
         pencil = AffinePencil(np.zeros((4, 4)), stack)
     assert pencil.coeffs.tobytes() == stack.tobytes()
-    # below half the largest float the symmetrization is (C + C') * 0.5
+    # halving is exact outside the subnormal range, so halving first gives
+    # the bits of (C + C') * 0.5
     rng = np.random.default_rng(8)
     raw = rng.standard_normal((5, 3, 3))
     raw = raw @ raw.swapaxes(1, 2) + np.eye(3) \
