@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from . import symmat
 from .errors import (
@@ -248,7 +249,12 @@ def lambda_max_eps(x, y, eps: float) -> GenEigResult:
     _require_positive(eps, "eps", InvalidEpsilon)
     a, b, _ = _require_psd_pair(x, y)
     n = a.shape[0]
-    w, vecs = _eigh_eps(a, b, eps, subset_by_index=[n - 1, n - 1])
+    try:  # Y within PSD_TOL of PSD may leave Y + eps*I indefinite
+        w, vecs = scipy.linalg.eigh(a, b + eps * np.eye(n),
+                                    subset_by_index=[n - 1, n - 1])
+    except np.linalg.LinAlgError as exc:
+        raise SingularDenominator(f"denominator + eps*I is not positive "
+                                  f"definite at eps = {eps}: {exc}") from None
     return GenEigResult(max(float(w[0]), 0.0), vecs[:, 0],
                         Certificate.REDUCED_PENCIL)
 
@@ -271,34 +277,50 @@ def rayleigh_sup_oracle(x, y, samples: int, seed: int) -> float:
     return float(np.max(num[keep] / den[keep], initial=0.0))
 
 
-def _eigh_eps(a: np.ndarray, b: np.ndarray, eps: float, **subset):
-    """``scipy.linalg.eigh(A, B + eps*I)``; a B + eps*I that is not positive
-    definite (possible at eps = 0, or for a B only within ``PSD_TOL`` of
-    PSD) is ``SingularDenominator``."""
-    try:
-        return scipy.linalg.eigh(a, b + eps * np.eye(a.shape[0]), **subset)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDenominator(
-            f"denominator + eps*I is not positive definite at eps = {eps}: {exc}"
-        ) from None
+_SYEVR_WORK: dict[int, tuple[int, int]] = {}  # dsyevr's (lwork, liwork) by n
+
+
+def _lapack_eigh(a: np.ndarray, b: np.ndarray | None = None):
+    """The LAPACK driver ``scipy.linalg.eigh`` picks, called without its
+    wrapper's checks, so with its bits: A's top pair alone by dsyevr (as for
+    ``subset_by_index=[n-1, n-1]``), or all pairs of (A, B) by dsygvd.  A B
+    not positive definite is ``SingularDenominator``, any other failure
+    ``InvalidMatrix``."""
+    n = a.shape[0]
+    if b is None:
+        if n not in _SYEVR_WORK:  # above n = 32 lwork sets the bits: ask as eigh
+            work, iwork, _ = lapack.dsyevr_lwork(n, lower=1)
+            _SYEVR_WORK[n] = int(work), int(iwork)
+        lwork, liwork = _SYEVR_WORK[n]
+        w, v, _, _, info = lapack.dsyevr(a, range="I", il=n, iu=n, lower=1,
+                                         lwork=lwork, liwork=liwork)
+        w = w[:1]
+    else:
+        w, v, info = lapack.dsygvd(a, b, itype=1, jobz="V", uplo="L")
+    if info:  # dsygvd: info > n when the Cholesky factorization of B fails
+        if b is not None and info > n:
+            raise SingularDenominator("B(x) + eps*I is not positive definite")
+        routine = "dsyevr" if b is None else "dsygvd"
+        raise InvalidMatrix(f"LAPACK {routine} failed with info = {info}")
+    return w, v
 
 
 def _pencil_eigh(pa: AffinePencil, pb: AffinePencil, x, eps: float):
-    """All eigenpairs (ascending) of (A(x), B(x) + eps*I): every pencil
-    evaluation's one eigensolve, and the one check of its domain, x finite
-    and nonnegative (``OutOfDomain``), eps finite and nonnegative
-    (``InvalidEpsilon``), A(x) and B(x) finite (``InvalidMatrix``).  eps = 0
-    needs B(x) positive definite."""
+    """All eigenpairs (ascending) of (A(x), B(x) + eps*I) by ``_lapack_eigh``:
+    every pencil evaluation's one eigensolve, and the one check of its
+    domain, x finite and nonnegative (``OutOfDomain``), eps finite and
+    nonnegative (``InvalidEpsilon``), A(x) and B(x) + eps*I finite
+    (``InvalidMatrix``).  eps = 0 needs B(x) positive definite."""
     x = np.asarray(x, dtype=float)
     if not np.all((0 <= x) & (x < math.inf)):
         raise OutOfDomain("design vector must be finite and nonnegative")
     if not 0 <= eps < math.inf:
         raise InvalidEpsilon(f"eps must be nonnegative and finite, got {eps}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        a, b = pa(x), pb(x)
+        a, b = pa(x), pb(x) + eps * np.eye(pa.dim)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidMatrix("A(x) or B(x) overflows at this design vector")
-    return _eigh_eps(a, b, eps)
+    return _lapack_eigh(a, b)
 
 
 def _log_sum_exp(w: np.ndarray, mu: float):

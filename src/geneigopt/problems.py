@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geneig, symmat
+from . import geneig
 from .errors import EmptyFeasibleSet
 from .geneig import AffinePencil
 
@@ -124,24 +124,6 @@ def psi_eps(model, x, eps: float) -> float:
     """Regularized robust compliance lmax(QQ', K(x) + eps*I)."""
     q = model.q_matrix
     return geneig.lambda_max_eps(q @ q.T, model.k_pencil(x), eps).value
-
-
-def psi_via_linear_solve(model, x) -> float:
-    """Independent route: lmax(Q'U) with K(x)U = Q, +inf when unsolvable.
-
-    Membership in the solvable set is decided by Im Q being orthogonal to
-    ker K(x).
-    """
-    q = model.q_matrix
-    k = model.k_pencil(np.asarray(x, dtype=float))
-    kernel = symmat.kernel_basis(k)
-    if kernel.shape[1]:
-        scale = symmat.KERNEL_TOL * (1.0 + float(np.max(np.abs(q))))
-        if float(np.max(np.abs(kernel.T @ q))) > scale:
-            return math.inf
-    u, *_ = np.linalg.lstsq(k, q, rcond=None)
-    s = q.T @ u
-    return max(float(np.linalg.eigvalsh(0.5 * (s + s.T))[-1]), 0.0)
 
 
 def phi_exact(model, x) -> float:

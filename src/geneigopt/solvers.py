@@ -22,11 +22,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import problems as probs
 from .errors import BracketError
-from .geneig import AffinePencil, _log_sum_exp, _pencil_eigh
+from .geneig import AffinePencil, _lapack_eigh, _log_sum_exp, _pencil_eigh
 # the benchmark's tracer times the solvers' calls under these two names
 from .geneig import composite_value_grad as _pencil_value_grad
 from .geneig import smoothed_value_grad as _smoothed_value_grad
@@ -99,21 +98,21 @@ def project_feasible(y, fs: FeasibleSet) -> np.ndarray:
     excess = y - lb
     breaks = excess / l
     order = breaks.argsort()[::-1]
-    ls = l[order]
-    taus = ((ls * excess[order]).cumsum() - (fs.v0 - lb * l.sum())) \
-        / (ls * ls).cumsum()
+    above = fs.v0 - lb * l.sum() if lb else fs.v0  # volume above the floor
+    taus = ((l * excess)[order].cumsum() - above) / (l * l)[order].cumsum()
     valid = taus[:-1] >= breaks[order[1:]]
     root = float(taus[valid.argmax() if valid.any() else -1])
 
     # Bracket tau to 1e-12 as a bisection would, with the root deciding each
     # step, and read the active set at the midpoint: the Polyak stops react
     # to the last bits of a bar whose breakpoint lies that close to the root.
+    # lo and hi share one sign, so |hi| + |lo| is |hi + lo|, to the bit.
     lo, hi = 0.0, 1.0
     while hi < abs(root):
         hi *= 2.0
     if vol < fs.v0:
         lo, hi = -hi, 0.0
-    while hi - lo > 1e-12 * (1.0 + abs(hi) + abs(lo)):
+    while hi - lo > 1e-12 * (1.0 + abs(hi + lo)):
         mid = 0.5 * (lo + hi)
         if mid < root:
             lo = mid
@@ -125,7 +124,7 @@ def project_feasible(y, fs: FeasibleSet) -> np.ndarray:
     l_free = l[free]
     denom = float(l_free @ l_free)
     if denom > 0:
-        fixed_vol = lb * float(l[~free].sum())
+        fixed_vol = lb * float(l[~free].sum()) if lb else 0.0
         tau = (float(l_free @ y[free]) - (fs.v0 - fixed_vol)) / denom
     return np.maximum(y - tau * l, lb)
 
@@ -260,17 +259,15 @@ def _sublevel_feasible(pencil: AffinePencil, fs: FeasibleSet,
                        x_start: np.ndarray, slack: float, max_iters: int):
     """Search the feasible set for x with lmax(C(x)) <= slack, C = pencil.
 
-    Polyak steps on h(x) = lmax(C(x)), each one GEMV for C(x), LAPACK's top
+    Polyak steps on h(x) = lmax(C(x)), each one GEMV for C(x), dsyevr's top
     pair (h, v) alone and one GEMV for v'C_j v.  Returns (found, x, best_h).
     """
-    n = pencil.dim
     x = project_feasible(x_start, fs)
     best_h = math.inf
     best_x = x.copy()
     since_improve = 0
     for _ in range(max_iters):
-        w, vecs = scipy.linalg.eigh(pencil(x), subset_by_index=[n - 1, n - 1],
-                                    check_finite=False)  # C(x) is finite
+        w, vecs = _lapack_eigh(pencil(x))
         h = float(w[0])
         if math.isinf(best_h) or h < best_h - 1e-14 * (1.0 + abs(best_h)):
             best_h = h

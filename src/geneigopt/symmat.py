@@ -25,11 +25,11 @@ KERNEL_TOL = 1e-8
 
 
 def as_symmetric(x) -> np.ndarray:
-    """Coerce an array-like to a symmetric float ndarray."""
+    """Coerce an array-like to the symmetric float ndarray ½A + ½A'."""
     a = np.asarray(x, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.T)
+    return 0.5 * a + 0.5 * a.T  # halved first: A + A' may overflow
 
 
 def _check_finite(a: np.ndarray):

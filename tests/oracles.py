@@ -1,0 +1,77 @@
+"""Independent routes that the tests compare the library against.
+
+None of these is on a production path: each recomputes a library quantity
+another way, or as an earlier version of the library computed it.
+"""
+
+import math
+
+import numpy as np
+
+from geneigopt import symmat
+from geneigopt.problems import VOLUME_LE
+
+
+def psi_via_linear_solve(model, x) -> float:
+    """Independent route: lmax(Q'U) with K(x)U = Q, +inf when unsolvable.
+
+    Membership in the solvable set is decided by Im Q being orthogonal to
+    ker K(x).
+    """
+    q = model.q_matrix
+    k = model.k_pencil(np.asarray(x, dtype=float))
+    kernel = symmat.kernel_basis(k)
+    if kernel.shape[1]:
+        scale = symmat.KERNEL_TOL * (1.0 + float(np.max(np.abs(q))))
+        if float(np.max(np.abs(kernel.T @ q))) > scale:
+            return math.inf
+    u, *_ = np.linalg.lstsq(k, q, rcond=None)
+    s = q.T @ u
+    return max(float(np.linalg.eigvalsh(0.5 * (s + s.T))[-1]), 0.0)
+
+
+def project_feasible_reference(y, fs) -> np.ndarray:
+    """``solvers.project_feasible`` as it was before its per-call overhead
+    was trimmed, kept verbatim: the trimmed one must return its bits."""
+    y = np.asarray(y, dtype=float)
+    l = fs.l
+    lb = fs.lower_bound
+    clamped = np.maximum(y, lb)
+    vol = float(l @ clamped)
+    if fs.kind == VOLUME_LE and vol <= fs.v0:
+        return clamped
+
+    # With the k largest breakpoints free the volume meets V0 at taus[k-1];
+    # the root is the first such tau at or above the next breakpoint.
+    excess = y - lb
+    breaks = excess / l
+    order = breaks.argsort()[::-1]
+    ls = l[order]
+    taus = ((ls * excess[order]).cumsum() - (fs.v0 - lb * l.sum())) \
+        / (ls * ls).cumsum()
+    valid = taus[:-1] >= breaks[order[1:]]
+    root = float(taus[valid.argmax() if valid.any() else -1])
+
+    # Bracket tau to 1e-12 as a bisection would, with the root deciding each
+    # step, and read the active set at the midpoint: the Polyak stops react
+    # to the last bits of a bar whose breakpoint lies that close to the root.
+    lo, hi = 0.0, 1.0
+    while hi < abs(root):
+        hi *= 2.0
+    if vol < fs.v0:
+        lo, hi = -hi, 0.0
+    while hi - lo > 1e-12 * (1.0 + abs(hi) + abs(lo)):
+        mid = 0.5 * (lo + hi)
+        if mid < root:
+            lo = mid
+        else:
+            hi = mid
+    # Exact multiplier from the active set at the bracketed tau.
+    tau = 0.5 * (lo + hi)
+    free = y - tau * l > lb
+    l_free = l[free]
+    denom = float(l_free @ l_free)
+    if denom > 0:
+        fixed_vol = lb * float(l[~free].sum())
+        tau = (float(l_free @ y[free]) - (fs.v0 - fixed_vol)) / denom
+    return np.maximum(y - tau * l, lb)

@@ -29,7 +29,6 @@ from geneigopt.problems import (
     phi_eps,
     phi_exact,
     psi_exact,
-    psi_via_linear_solve,
 )
 from geneigopt.geneig import AffinePencil
 from geneigopt.solvers import (
@@ -39,6 +38,7 @@ from geneigopt.solvers import (
     projected_subgradient,
     smoothed_apg,
 )
+from oracles import psi_via_linear_solve
 
 TWO_BAR_EQ = FeasibleSet(l=np.array([1.0, 1.0]), v0=2.0,
                          kind=problems.VOLUME_EQ)

@@ -550,6 +550,21 @@ def example_config(tmp_path, name="truss_5x3_robust.json", **overrides):
     return path
 
 
+def test_huge_nonstructural_mass_is_typed_error(tmp_path, capsys):
+    # a finite mass above half the largest float: M(x)'s constant is
+    # symmetrized without overflow, then LAPACK's solve of the pencil fails,
+    # which is a typed error, not a RuntimeWarning or "not positive definite"
+    path = example_config(tmp_path, "truss_5x3_eigenfrequency.json",
+                          nonstructural_mass=1e308)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    assert caught == []
+    out = capsys.readouterr()
+    assert out.err.startswith("error: LAPACK dsygvd failed with info = ")
+    assert out.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("solver", ["subgradient", "smoothed_apg"])
 def test_singular_exact_solve_is_typed_error(tmp_path, capsys, monkeypatch,
                                              solver):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from geneigopt import cli, symmat, verify
+from geneigopt import cli, geneig, solvers, symmat, verify
 from geneigopt.errors import (
     DegeneratePair,
     EmptyFeasibleSet,
@@ -30,7 +30,13 @@ from geneigopt.geneig import (
     rayleigh_sup_oracle,
     smoothed_value_grad,
 )
-from geneigopt.problems import EIGENFREQUENCY, FeasibleSet, ProblemSpec
+from geneigopt.problems import (
+    EIGENFREQUENCY,
+    VOLUME_EQ,
+    FeasibleSet,
+    ProblemSpec,
+    demo_model_without_mass,
+)
 
 
 # ---------------------------------------------------------------- lambda_max
@@ -678,6 +684,79 @@ def test_singular_denominator_is_typed():
             evaluate(a, b, [1.0, 0.0], 0.0)
     value = composite_value_grad(a, b, [1.0, 0.0], 1e-9)[0]
     assert abs(value - 1.0) < 1e-8
+
+
+# ------------------------------------------------------- direct LAPACK calls
+
+def _symmetric(rng, n):
+    g = rng.standard_normal((n, n))
+    return symmat.as_symmetric(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 24, 48, 80])
+def test_lapack_top_pair_is_scipy_eigh_bit_for_bit(n):
+    # an indefinite C, as in the level test; above n = 32 dsyevr's blocking,
+    # and so the bits, depend on the lwork queried
+    c = _symmetric(np.random.default_rng(n), n)
+    w, v = geneig._lapack_eigh(c)
+    want_w, want_v = scipy.linalg.eigh(c, subset_by_index=[n - 1, n - 1])
+    assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+
+
+@pytest.mark.parametrize("n", [2, 24, 48])
+def test_lapack_pencil_solve_is_scipy_eigh_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    a = _symmetric(rng, n)
+    g = rng.standard_normal((n, n))
+    b = symmat.as_symmetric(g @ g.T) + 1e-6 * np.eye(n)
+    w, v = geneig._lapack_eigh(a, b)
+    want_w, want_v = scipy.linalg.eigh(a, b)
+    assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+
+
+def test_lapack_workspace_is_queried_once_per_order(monkeypatch):
+    queries = []
+    query = geneig.lapack.dsyevr_lwork
+    monkeypatch.setattr(geneig, "_SYEVR_WORK", {})
+    monkeypatch.setattr(geneig.lapack, "dsyevr_lwork",
+                        lambda n, **kw: queries.append(n) or query(n, **kw))
+    rng = np.random.default_rng(3)
+    for n in (5, 40, 5, 40, 40):
+        geneig._lapack_eigh(_symmetric(rng, n))
+    assert queries == [5, 40]
+
+
+def _failing(monkeypatch, routine, info):
+    """Make LAPACK's ``routine`` report ``info`` after computing."""
+    real = getattr(geneig.lapack, routine)
+
+    def call(*args, **kwargs):
+        return (*real(*args, **kwargs)[:-1], info)
+    monkeypatch.setattr(geneig.lapack, routine, call)
+
+
+def test_lapack_convergence_failure_is_invalid_matrix(monkeypatch):
+    # 0 < info <= n is a failed eigenvalue iteration, not a B(x) + eps*I
+    # that is not positive definite
+    a, b = two_bar_pencils()
+    _failing(monkeypatch, "dsygvd", 1)
+    for evaluate in (composite_value_grad,
+                     lambda *args: smoothed_value_grad(*args, 0.1)):
+        with pytest.raises(InvalidMatrix,
+                           match="LAPACK dsygvd failed with info = 1"):
+            evaluate(a, b, [1.0, 1.0], 0.1)
+
+
+def test_level_test_lapack_failure_is_typed(monkeypatch):
+    # a failed top-pair solve in the level test reaches the caller typed
+    fs = FeasibleSet(l=[1.0, 1.0], v0=2.0, kind=VOLUME_EQ)
+    spec = ProblemSpec(EIGENFREQUENCY, demo_model_without_mass(), fs, eps=0.0)
+    _failing(monkeypatch, "dsyevr", 2)
+    with pytest.raises(InvalidMatrix, match="LAPACK dsyevr failed with info = 2"):
+        solvers.bisection_global(spec)
+    _failing(monkeypatch, "dsyevr", -3)
+    with pytest.raises(InvalidMatrix, match="info = -3"):
+        solvers.bisection_global(spec)
 
 
 def test_composite_value_grad_closed_form():

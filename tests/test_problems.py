@@ -20,9 +20,9 @@ from geneigopt.problems import (
     phi_exact,
     psi_eps,
     psi_exact,
-    psi_via_linear_solve,
     robust_two_bar_model,
 )
+from oracles import psi_via_linear_solve
 
 
 def diag_robust_model():

@@ -30,6 +30,7 @@ from geneigopt.solvers import (
     projected_subgradient,
     smoothed_apg,
 )
+from oracles import project_feasible_reference
 
 TWO_BAR_EQ = FeasibleSet(l=np.array([1.0, 1.0]), v0=2.0,
                          kind=problems.VOLUME_EQ)
@@ -150,6 +151,29 @@ def test_projection_bit_identical_to_bisection():
             y, fs.lower_bound)) < fs.v0))
     # le and eq, lb = 0 and lb > 0, and eq with a negative root all occur
     assert len(kinds) == 8
+
+
+def test_projection_bit_identical_to_untrimmed_version():
+    # the trimmed projection returns the bits of the version before it, also
+    # with a breakpoint planted within 1e-12 (relative) of the root, where
+    # the 1e-12 replay of the bracket decides the active set
+    rng = np.random.default_rng(2024)
+    kinds = set()
+    planted = 0
+    for _ in range(3000):
+        y, fs = _random_projection_case(rng)
+        lb = fs.lower_bound
+        p = project_feasible_reference(y, fs)
+        free = p > lb
+        if np.any(free) and not np.array_equal(p, np.maximum(y, lb)):
+            tau = float(np.median((y[free] - p[free]) / fs.l[free]))
+            j = int(rng.integers(len(y)))
+            y[j] = lb + tau * fs.l[j] * (1.0 + rng.uniform(-1e-12, 1e-12))
+            planted += 1
+        assert np.array_equal(project_feasible(y, fs),
+                              project_feasible_reference(y, fs))
+        kinds.add((fs.kind, lb > 0, float(fs.l @ np.maximum(y, lb)) < fs.v0))
+    assert len(kinds) == 8 and planted > 1000
 
 
 def test_projection_kkt():
@@ -522,6 +546,10 @@ def test_apg_solves_each_design_point_once(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
+    # the pencil solves go to LAPACK through geneig._lapack_eigh; the
+    # report's exact objective (lambda_max_ext) through scipy.linalg.eigh
+    monkeypatch.setattr(geneig, "_lapack_eigh",
+                        counted("eigh", geneig._lapack_eigh))
     monkeypatch.setattr(scipy.linalg, "eigh",
                         counted("eigh", scipy.linalg.eigh))
     lse = counted("lse", geneig._log_sum_exp)

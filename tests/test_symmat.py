@@ -22,6 +22,17 @@ def test_as_symmetric_accepts_both_forms():
     assert np.array_equal(b, [[0.0, 1.0], [1.0, 0.0]])
 
 
+def test_as_symmetric_halves_first():
+    # entries above half the largest float: A + A' would overflow to inf;
+    # on normal floats the bits are those of 0.5 * (A + A')
+    big = 1e308
+    with np.errstate(over="raise"):
+        a = as_symmetric([[big, big], [0.0, big]])
+    assert np.array_equal(a, [[big, 0.5 * big], [0.5 * big, big]])
+    x = np.random.default_rng(4).standard_normal((7, 7))
+    assert np.array_equal(as_symmetric(x), 0.5 * (x + x.T))
+
+
 def test_as_symmetric_rejects_non_square():
     with pytest.raises(InvalidMatrix):
         as_symmetric(np.zeros((2, 3)))
