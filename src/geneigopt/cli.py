@@ -326,7 +326,7 @@ def _write_result(record: dict, runs, paths: dict):
 
 
 def render_svg(result: dict, out_path: str,
-               display_threshold: float = DISPLAY_THRESHOLD) -> str:
+               display_threshold: float = DISPLAY_THRESHOLD):
     """Draw the final design: bar widths proportional to areas.
 
     Bars below ``display_threshold`` times the largest area are omitted.
@@ -345,12 +345,8 @@ def render_svg(result: dict, out_path: str,
     pad = 40.0
     xmin, ymin = nodes.min(axis=0)
     ymax = nodes[:, 1].max()
-
-    def pos(node):
-        px = pad + (nodes[node, 0] - xmin) * scale
-        py = pad + (ymax - nodes[node, 1]) * scale
-        return px, py
-
+    px = pad + (nodes[:, 0] - xmin) * scale  # SVG's y axis points down
+    py = pad + (ymax - nodes[:, 1]) * scale
     width = pad * 2 + (nodes[:, 0].max() - xmin) * scale
     height = pad * 2 + (ymax - ymin) * scale
     svg = ET.Element("svg", xmlns="http://www.w3.org/2000/svg",
@@ -361,28 +357,24 @@ def render_svg(result: dict, out_path: str,
         for j, (a, b) in enumerate(bars):
             if x[j] < display_threshold * top:
                 continue
-            xa, ya = pos(a)
-            xb, yb = pos(b)
-            ET.SubElement(svg, "line", x1=f"{xa:.2f}", y1=f"{ya:.2f}",
-                          x2=f"{xb:.2f}", y2=f"{yb:.2f}", stroke="black",
+            ET.SubElement(svg, "line", x1=f"{px[a]:.2f}", y1=f"{py[a]:.2f}",
+                          x2=f"{px[b]:.2f}", y2=f"{py[b]:.2f}", stroke="black",
                           attrib={"stroke-width": f"{8.0 * x[j] / top:.4f}",
                                   "stroke-linecap": "round"})
             drawn += 1
     if drawn == 0:
         print("warning: no bars above the display threshold", file=sys.stderr)
     for node in range(nodes.shape[0]):
-        px, py = pos(node)
         if node == load_node:
             fill = "red"
         elif node in fixed_nodes:
             fill = "black"
         else:
             fill = "white"
-        ET.SubElement(svg, "circle", cx=f"{px:.2f}", cy=f"{py:.2f}", r="5",
-                      fill=fill, stroke="black",
+        ET.SubElement(svg, "circle", cx=f"{px[node]:.2f}",
+                      cy=f"{py[node]:.2f}", r="5", fill=fill, stroke="black",
                       attrib={"stroke-width": "1"})
     ET.ElementTree(svg).write(out_path, xml_declaration=True, encoding="unicode")
-    return out_path
 
 
 def _dispatch_solve(cfg: dict, config_path: str) -> int:
@@ -488,7 +480,6 @@ def main(argv=None) -> int:
     except GenEigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -58,18 +58,22 @@ class AffinePencil:
     are); the constant term need only be finite, so that shifted pencils
     used in bisection can reuse the evaluation path.  ``coeffs`` is the
     ``(nvars, n, n)`` stack or None (all zero); ``pencil(x)`` and
-    ``quad(Z)`` are each one GEMV on its n*n-wide rows.  The constructor
-    symmetrizes any stack and checks it PSD by one batched eigvalsh;
-    ``rank_one`` and ``diagonal`` check only the factors, in O(nvars * n).
+    ``quad(Z)`` are each one GEMV on its n*n-wide rows; ``quad(v)`` reads
+    ``blocks``, C_j on its nonzero rows ``support[j]`` (ascending, padded
+    with other rows to the widest).  The constructor symmetrizes any stack
+    and checks it PSD by one batched eigvalsh; ``rank_one`` and ``diagonal``
+    check only their factors and read the support off them, in O(nvars * n).
     """
 
-    __slots__ = ("constant", "coeffs", "nvars")
+    __slots__ = ("constant", "coeffs", "nvars", "support", "blocks")
 
     def __init__(self, constant, coefficients):
         a0 = as_symmetric(constant)
         if not np.all(np.isfinite(a0)):
             raise InvalidMatrix("pencil constant has non-finite entries")
-        coeffs = None
+        self.constant = a0
+        self.nvars = len(coefficients)
+        self.coeffs = self.support = self.blocks = None
         if len(coefficients):
             raw = np.asarray(coefficients, dtype=float)
             if raw.shape[1:] != a0.shape:
@@ -82,9 +86,15 @@ class AffinePencil:
             lam_min = np.linalg.eigvalsh(coeffs)[:, 0]  # one batched call
             _require_each(lam_min >= -PSD_TOL * (1.0 + top),
                           NotPositiveSemidefinite, "is not PSD")
-        self.constant = a0
-        self.coeffs = coeffs
-        self.nvars = 0 if coeffs is None else coeffs.shape[0]
+            self._set_coeffs(coeffs, coeffs.any(axis=2))
+
+    def _set_coeffs(self, coeffs, nonzero):
+        """Set the stack, its support from the nonzero-row mask, its blocks."""
+        width = max(1, int(nonzero.sum(axis=1).max()))
+        support = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
+        js = np.arange(len(coeffs))[:, None, None]
+        self.coeffs, self.support = coeffs, support
+        self.blocks = coeffs[js, support[:, :, None], support[:, None, :]]
 
     @staticmethod
     def rank_one(constant, vectors, weights) -> "AffinePencil":
@@ -101,8 +111,9 @@ class AffinePencil:
         _require_each(np.isfinite(top), InvalidMatrix, "has non-finite entries")
         _require_each(w >= 0, NotPositiveSemidefinite, "is not PSD")
         if len(w):
-            pencil.coeffs = v[:, :, None] * v[:, None, :]
-            pencil.coeffs *= w[:, None, None]
+            coeffs = v[:, :, None] * v[:, None, :]
+            coeffs *= w[:, None, None]
+            pencil._set_coeffs(coeffs, v != 0)
         return pencil
 
     @staticmethod
@@ -118,8 +129,9 @@ class AffinePencil:
         _require_each((d >= 0).all(axis=1), NotPositiveSemidefinite,
                       "is not PSD")
         if len(d):
-            pencil.coeffs = np.zeros(d.shape + d.shape[1:])
-            pencil.coeffs[:, range(pencil.dim), range(pencil.dim)] = d
+            coeffs = np.zeros(d.shape + d.shape[1:])
+            coeffs[:, range(pencil.dim), range(pencil.dim)] = d
+            pencil._set_coeffs(coeffs, d != 0)
         return pencil
 
     @property
@@ -142,7 +154,8 @@ class AffinePencil:
             self.nvars)
         if self.coeffs is not None or other.coeffs is not None:
             a, b = (0.0 if p.coeffs is None else p.coeffs for p in (self, other))
-            pencil.coeffs = a - alpha * b
+            coeffs = a - alpha * b
+            pencil._set_coeffs(coeffs, coeffs.any(axis=2))
         return pencil
 
     def __call__(self, x) -> np.ndarray:
@@ -153,13 +166,17 @@ class AffinePencil:
 
     def quad(self, z: np.ndarray) -> np.ndarray:
         """<C_j, Z> per coefficient C_j: one GEMV for an n x n matrix Z (for
-        an eigenprojector Z, a spectral gradient); v'C_j v for a vector v."""
+        an eigenprojector Z, a spectral gradient); v'C_j v for a vector v:
+        C_j's block's terms (v_a C_j[a, b]) v_b, added one by one from +0.0
+        as ``einsum("j,mjk,k->m")`` adds all n*n (the rest are zeros)."""
         if z.shape not in ((self.dim,), (self.dim, self.dim)):
             raise ValueError(f"quad needs shape (n,) or (n, n), got {z.shape}")
         if self.coeffs is None:
             return np.zeros(self.nvars)
-        if z.ndim == 1:  # robust_7x4_subgrad's reference pins this order
-            return np.einsum("j,mjk,k->m", z, self.coeffs, z)
+        if z.ndim == 1:  # cumsum starts at the first term: + 0.0 for -0.0
+            zs = z[self.support]
+            terms = (zs[:, :, None] * self.blocks) * zs[:, None, :]
+            return np.cumsum(terms.reshape(self.nvars, -1), axis=1)[:, -1] + 0.0
         return self.coeffs.reshape(self.nvars, -1) @ z.ravel()
 
     @staticmethod

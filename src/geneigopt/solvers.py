@@ -163,11 +163,8 @@ def projected_subgradient(spec: ProblemSpec, x0=None,
     # halved whenever the record fails to drop by a fraction of delta
     # within a patience window.
     delta = None
-    anchor_f = math.inf
     stall = 0
-    iters = 0
     for k in range(opts.max_iters):
-        iters = k + 1
         f, g, _ = _pencil_value_grad(pa, pb, x, spec.eps)
         history.append((k, min(f, best_f)))
         if f < best_f:
@@ -198,7 +195,7 @@ def projected_subgradient(spec: ProblemSpec, x0=None,
         t = max(f - target, 0.0) / (gnorm * gnorm)
         x = project_feasible(x - t * g, fs)
 
-    return _report(spec, best_x, best_f, history, iters, termination)
+    return _report(spec, best_x, best_f, history, len(history), termination)
 
 
 def smoothed_apg(spec: ProblemSpec, x0=None,
@@ -307,7 +304,6 @@ def bisection_global(spec: ProblemSpec,
     warm = projected_subgradient(
         replace(spec, eps=max(spec.eps, 1e-6)), None,
         replace(opts, max_iters=min(4000, opts.max_iters)))
-    x_start = project_feasible(warm.x_final, fs)
 
     scale_a, scale_b = pa.scale(), pb.scale(spec.eps)
 
@@ -321,12 +317,12 @@ def bisection_global(spec: ProblemSpec,
         return _sublevel_feasible(pa.level(pb, alpha, spec.eps), fs, x_from,
                                   slack, min(opts.max_iters, 1000))
 
-    ok, x_w, _ = feasible(0.0, x_start)
+    ok, x_w, _ = feasible(0.0, warm.x_final)
     if ok:
         return _report(spec, x_w, 0.0, [], 0, "bisected")
 
     alpha_hi = max(warm.obj_final * (1.0 + 1e-3), 10.0 * opts.bisect_tol)
-    ok, x_w, h_prev = feasible(alpha_hi, x_start)
+    ok, x_w, h_prev = feasible(alpha_hi, warm.x_final)
     doublings = 0
     stagnant = 0
     while not ok:
@@ -334,7 +330,7 @@ def bisection_global(spec: ProblemSpec,
         doublings += 1
         if doublings > 60:
             raise BracketError("no feasible level found while doubling")
-        ok, x_w, h = feasible(alpha_hi, x_start)
+        ok, x_w, h = feasible(alpha_hi, warm.x_final)
         if not ok:
             # raising the level must shrink the infeasibility margin unless
             # the objective is infinite on the whole feasible set
@@ -352,10 +348,8 @@ def bisection_global(spec: ProblemSpec,
     lo, hi = 0.0, alpha_hi
     history = []
     tol = opts.bisect_tol * (1.0 + alpha_hi)
-    it = 0
     # with tol below one ulp, the midpoint rounds to lo or hi: stop there
     while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
-        it += 1
         mid = 0.5 * (lo + hi)
         ok, x_w, _ = feasible(mid, witness)
         if ok:
@@ -363,9 +357,9 @@ def bisection_global(spec: ProblemSpec,
             witness = x_w
         else:
             lo = mid
-        history.append((it, hi))
+        history.append((len(history) + 1, hi))
 
-    return _report(spec, witness, hi, history, it, "bisected")
+    return _report(spec, witness, hi, history, len(history), "bisected")
 
 
 def eps_continuation(spec: ProblemSpec, eps_schedule,

@@ -158,7 +158,6 @@ def suite_geneig(seed: int = 0, pairs: int = 200) -> list[dict]:
 
 def suite_examples(grid: int = 50) -> list[dict]:
     """Closed-form two-bar instances on a grid of designs."""
-    results = []
     ts = np.linspace(0.0, 2.0, grid)
 
     wo = demo_model_without_mass()
@@ -200,9 +199,8 @@ def suite_examples(grid: int = 50) -> list[dict]:
                     worst = max(worst, abs(v - ref))
                 for e in (0.2, 0.01):
                     worst = max(worst, abs(problems.phi_eps(model, x, e) - reg(x, e)))
-    results.append(_check("two_bar_closed_forms", ok and worst <= 1e-10,
-                          f"worst abs error {worst:.3e}"))
-    return results
+    return [_check("two_bar_closed_forms", ok and worst <= 1e-10,
+                   f"worst abs error {worst:.3e}")]
 
 
 def suite_solvers(seed: int = 0) -> list[dict]:

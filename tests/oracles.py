@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from geneigopt import symmat
+from geneigopt.geneig import AffinePencil
 from geneigopt.problems import VOLUME_LE
 
 
@@ -75,3 +76,43 @@ def project_feasible_reference(y, fs) -> np.ndarray:
         fixed_vol = lb * float(l[~free].sum())
         tau = (float(l_free @ y[free]) - (fs.v0 - fixed_vol)) / denom
     return np.maximum(y - tau * l, lb)
+
+
+def quad_row_major(pencil, v) -> np.ndarray:
+    """v'C_j v per coefficient C_j in plain Python floats: the terms
+    (v_a C_j[a, b]) v_b in row-major order, added one at a time from +0.0.
+    Terms of zero entries are left out; each is a zero and adds nothing."""
+    if pencil.coeffs is None:
+        return np.zeros(pencil.nvars)
+    v = [float(t) for t in v]
+    out = []
+    for c in pencil.coeffs:
+        total = 0.0
+        for a, b in zip(*np.nonzero(c)):
+            total += (v[a] * float(c[a, b])) * v[b]
+        out.append(total)
+    return np.array(out)
+
+
+def quad_einsum(pencil, v) -> np.ndarray:
+    """v'C_j v per coefficient as the three-operand einsum that
+    ``AffinePencil.quad`` ran before it summed each coefficient's block."""
+    if pencil.coeffs is None:
+        return np.zeros(pencil.nvars)
+    return np.einsum("j,mjk,k->m", v, pencil.coeffs, v)
+
+
+def einsum_sums_row_major() -> bool:
+    """Whether this numpy's ``quad_einsum`` adds its terms as
+    ``quad_row_major`` does for n*n up to 8192 (numpy 2.4 does).  An einsum
+    that sums each row first, or in buffer-sized chunks, may not."""
+    rng = np.random.default_rng(0)
+    for n in (3, 24, 90):
+        g = rng.standard_normal((4, n, n))
+        stack = g @ g.swapaxes(1, 2)
+        pencil = AffinePencil(np.zeros((n, n)), stack)
+        v = rng.standard_normal(n)
+        if quad_einsum(pencil, v).tobytes() != \
+                quad_row_major(pencil, v).tobytes():
+            return False
+    return True

@@ -37,6 +37,19 @@ from geneigopt.problems import (
     ProblemSpec,
     demo_model_without_mass,
 )
+from geneigopt.truss import (
+    Material,
+    build_model,
+    generate_ground_structure,
+    grid_node_index,
+)
+from oracles import einsum_sums_row_major, quad_einsum, quad_row_major
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH_MODELS = {"robust_7x4": "robust_7x4_subgrad",
+                "eigfreq_5x3": "eigfreq_5x3_bisect"}
+GRIDS = {"grid_9x5": (9, 5), "grid_11x6": (11, 6)}
+EINSUM_ROW_MAJOR = einsum_sums_row_major()
 
 
 # ---------------------------------------------------------------- lambda_max
@@ -655,16 +668,103 @@ def test_quad_of_a_matrix_is_the_inner_product(m, n):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("m, n", [(1, 1), (7, 3), (40, 12)])
-def test_quad_of_a_vector_keeps_its_summation_order(m, n):
-    # robust_7x4_subgrad's pinned answer depends on these bits
-    rng = np.random.default_rng(200 * m + n)
-    for pencil in _quad_pencils(rng, m, n):
-        for _ in range(3):
-            v = rng.standard_normal(n)
-            want = np.zeros(m) if pencil.coeffs is None \
-                else np.einsum("j,mjk,k->m", v, pencil.coeffs, v)
-            assert np.array_equal(pencil.quad(v), want)
+def _truss_pencils(case):
+    """The K and M pencils of a benchmark model or of a grid ground
+    structure (n*n is 7396 at 9x5 and 16384 at 11x6)."""
+    if case in BENCH_MODELS:
+        cfg = cli.load_config(os.path.join(REPO, "bench", "configs",
+                                           BENCH_MODELS[case] + ".json"))
+        _, model = cli.build_from_config(cfg)
+    else:
+        nx, ny = GRIDS[case]
+        fixed = {2 * grid_node_index(nx, 0, iy) + d
+                 for iy in (0, ny - 1) for d in (0, 1)}
+        model = build_model(
+            generate_ground_structure(nx, ny, 0.7, fixed), Material(2.5, 1.5),
+            grid_node_index(nx, nx - 1, 0), nonstructural_mass=0.25)
+    return model.k_pencil, model.m_pencil
+
+
+def _degenerate_pencils(rng, m=6, n=5):
+    """A zero-weight bar, an all-zero diagonal row, an all-zero stack."""
+    v, w, d = random_factors(rng, m, n)
+    w[2], d[3] = 0.0, 0.0
+    return (AffinePencil.rank_one(np.zeros((n, n)), v, w),
+            AffinePencil.diagonal(np.zeros((n, n)), d),
+            AffinePencil(np.zeros((n, n)), np.zeros((m, n, n))))
+
+
+def _quad_vectors(rng, n, count):
+    """Gaussian vectors, alone and with exact zeros of either sign, at unit
+    size and at magnitudes 1e-8 to 1e8."""
+    for _ in range(count):
+        v = rng.standard_normal(n)
+        with_zeros = v * (rng.random(n) < 0.5)
+        for u in (v, with_zeros):
+            yield u
+            yield u * 10.0 ** rng.uniform(-8.0, 8.0, n)
+
+
+@pytest.mark.parametrize("case, count", [
+    pytest.param((1, 1), 3, id="1-1"), pytest.param((7, 3), 3, id="7-3"),
+    pytest.param((40, 12), 3, id="40-12"), ("degenerate", 5),
+    ("robust_7x4", 5), ("eigfreq_5x3", 5), ("grid_9x5", 1),
+])
+def test_quad_of_a_vector_keeps_its_summation_order(case, count):
+    # robust_7x4_subgrad's pinned answer depends on these bits: quad(v) adds
+    # the einsum's terms in the einsum's order.  Bytes, because -0.0 == 0.0;
+    # the plain-Python oracle states the order on any numpy, the einsum
+    # only where it sums that way
+    rng = np.random.default_rng(7)
+    if case == "degenerate":
+        pencils = _degenerate_pencils(rng)
+    elif isinstance(case, str):
+        pencils = _truss_pencils(case)
+    else:
+        pencils = _quad_pencils(rng, *case)
+    for pencil in pencils:
+        for v in _quad_vectors(rng, pencil.dim, count):
+            got = pencil.quad(v)
+            assert got.tobytes() == quad_row_major(pencil, v).tobytes()
+            if EINSUM_ROW_MAJOR:
+                assert got.tobytes() == quad_einsum(pencil, v).tobytes()
+
+
+def test_quad_of_a_vector_above_the_einsum_buffer():
+    # at 11x6, n*n = 16384 exceeds the einsum's 8192-element buffer and the
+    # einsum sums in another order, so it agrees only to rounding: 1e-13 of
+    # |C_j|_F |v|^2, which bounds the sum of the terms' magnitudes.  No
+    # benchmark answer is pinned there
+    rng = np.random.default_rng(11)
+    for pencil in _truss_pencils("grid_11x6"):
+        c = pencil.coeffs
+        frobenius = np.sqrt(np.einsum("mjk,mjk->m", c, c))
+        for v in _quad_vectors(rng, pencil.dim, 1):
+            got = pencil.quad(v)
+            assert got.tobytes() == quad_row_major(pencil, v).tobytes()
+            assert np.all(np.abs(got - quad_einsum(pencil, v))
+                          <= 1e-13 * frobenius * (v @ v))
+
+
+def test_every_pencil_kind_sets_every_slot():
+    # bench/workloads.py's array_nbytes reads every slot
+    rng = np.random.default_rng(12)
+    dense, diag, level, const = _quad_pencils(rng, 6, 4)
+    kinds = (dense, diag, level, const, const.level(const, 2.0, 1e-3),
+             *_degenerate_pencils(rng, 6, 4))
+    for pencil in kinds:
+        held = {s: getattr(pencil, s) for s in AffinePencil.__slots__}
+        if pencil.coeffs is None:
+            assert held["support"] is None and held["blocks"] is None
+            continue
+        support, blocks = held["support"], held["blocks"]
+        assert support.shape[0] == pencil.nvars
+        assert blocks.shape == support.shape + support.shape[1:]
+        js = np.arange(pencil.nvars)[:, None, None]
+        gathered = pencil.coeffs[js, support[:, :, None], support[:, None, :]]
+        assert blocks.tobytes() == gathered.tobytes()
+        for c, rows in zip(pencil.coeffs, support):
+            assert set(np.flatnonzero(c.any(axis=1))) <= set(rows)
 
 
 def test_quad_rejects_other_shapes():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,11 @@ from geneigopt.solvers import (
     projected_subgradient,
     smoothed_apg,
 )
-from oracles import project_feasible_reference
+from oracles import (
+    einsum_sums_row_major,
+    project_feasible_reference,
+    quad_einsum,
+)
 
 TWO_BAR_EQ = FeasibleSet(l=np.array([1.0, 1.0]), v0=2.0,
                          kind=problems.VOLUME_EQ)
@@ -250,6 +255,35 @@ def test_subgradient_reports_exact_objective():
     rep = projected_subgradient(spec, None, SolverOptions(max_iters=20000))
     # the exact extended value at the regularized minimizer
     assert rep.obj_exact >= rep.obj_final - 1e-9
+
+
+def test_subgradient_trajectory_is_the_einsum_quads(monkeypatch):
+    # robust_7x4_subgrad's pinned answer is the trajectory the three-operand
+    # einsum gave quad(v): 400 steps with quad(v) as shipped and with that
+    # einsum are the same to the bit (both runs use this host's BLAS)
+    if not einsum_sums_row_major():
+        pytest.skip("this numpy's einsum adds quad(v)'s terms in another "
+                    "order than the one the benchmark answer was pinned with")
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench", "configs", "robust_7x4_subgrad.json")
+    cfg = cli.load_config(path)
+    _, model = cli.build_from_config(cfg)
+    spec = cli.problem_from_config(cfg, model)
+    opts = replace(cli.solver_options_from_config(cfg), max_iters=400)
+    shipped = projected_subgradient(spec, None, opts)
+    calls = []
+
+    def einsum_quad(pencil, z):
+        calls.append(z.ndim)
+        return quad_einsum(pencil, z) if z.ndim == 1 else real_quad(pencil, z)
+
+    real_quad = AffinePencil.quad
+    monkeypatch.setattr(AffinePencil, "quad", einsum_quad)
+    oracle = projected_subgradient(spec, None, opts)
+    assert calls.count(1) == 2 * 400 and shipped.iterations == 400
+    assert shipped.x_final.tobytes() == oracle.x_final.tobytes()
+    assert np.array(shipped.history).tobytes() == \
+        np.array(oracle.history).tobytes()
 
 
 # -------------------------------------------------------------- smoothed solve

@@ -158,6 +158,16 @@ def assert_equals_dense(pencil, constant, coefficient, m, chunk=128):
     for j < m])``, built a chunk at a time to bound an 11x6 grid's memory."""
     assert pencil.nvars == m
     assert pencil.coeffs.dtype == float and pencil.coeffs.flags.c_contiguous
+    # support and blocks, read off the factors, are C_j's nonzero rows in
+    # ascending order, padded with rows outside them, and the stack's bits
+    support = pencil.support
+    for j, c in enumerate(pencil.coeffs):
+        rows = np.flatnonzero(c.any(axis=1))
+        assert np.array_equal(support[j, :len(rows)], rows)
+        assert not np.isin(support[j, len(rows):], rows).any()
+    js = np.arange(m)[:, None, None]
+    gathered = pencil.coeffs[js, support[:, :, None], support[:, None, :]]
+    assert pencil.blocks.tobytes() == gathered.tobytes()
     for lo in range(0, m, chunk):
         js = range(lo, min(lo + chunk, m))
         dense = AffinePencil(constant, [coefficient(j) for j in js])
