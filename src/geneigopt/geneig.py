@@ -194,23 +194,16 @@ def _require_each(ok: np.ndarray, error: type, what: str):
         raise error(f"pencil coefficient {bad[0]} {what}")
 
 
-def _require_psd_pair(x, y, *, split: bool = False):
-    """Symmetric X and Y of one shape, both checked PSD; returns (X, Y, split).
-
-    With ``split``, Y is checked by its ``symmat.psd_split``, returned for
-    the caller's kernel and range queries; otherwise, like X, by
-    ``symmat.is_psd``, which is cheaper, and the split is None.
-    """
-    a = as_symmetric(x)
-    b = as_symmetric(y)
+def _require_psd_pair(x, y, *, check_y: bool = True):
+    """Symmetric X, Y of one shape, checked PSD (Y only if ``check_y``)."""
+    a, b = as_symmetric(x), as_symmetric(y)
     if a.shape != b.shape:
         raise ValueError("matrix pair must share one dimension")
     if not symmat.is_psd(a):
         raise NotPositiveSemidefinite("first matrix is not PSD")
-    b_split = symmat.psd_split(b) if split else None
-    if not (b_split.is_psd if split else symmat.is_psd(b)):
+    if check_y and not symmat.is_psd(b):
         raise NotPositiveSemidefinite("second matrix is not PSD")
-    return a, b, b_split
+    return a, b
 
 
 def lambda_max_ext(x, y) -> GenEigResult:
@@ -218,23 +211,28 @@ def lambda_max_ext(x, y) -> GenEigResult:
 
     Returns +inf when a kernel direction of Y escapes the kernel of X, else
     0 when Y is numerically zero (0/0), else the top eigenvalue of the
-    pencil reduced to the range of Y.  X is rotated once into the
-    eigenvectors V = [U, V_r] of Y, C = V'XV: the escape norms are the
-    column norms of C[:, U], and LAPACK computes only the top pair (value,
-    z) of (C_rr, V_r'YV_r).  v = V_r z has v'Yv = 1 and Xv = value * Yv.
+    pencil reduced to the range of Y.  Only Y's kernel basis U is computed;
+    the escape norms are the column norms of XU.  A range basis R (I if k =
+    0) completes U in its QR factorization, and LAPACK computes only the top
+    pair (value, z) of (R'XR, R'YR).  v = Rz has v'Yv = 1, Xv = value * Yv.
     """
-    a, b, split = _require_psd_pair(x, y, split=True)
-    k = symmat.kernel_basis(split).shape[1]
-    c = split.basis.T @ a @ split.basis
-    escape = np.linalg.norm(c[:, :k], axis=0)
+    a, b = _require_psd_pair(x, y, check_y=False)
+    try:
+        u = symmat.kernel_basis(b)
+    except NotPositiveSemidefinite:
+        raise NotPositiveSemidefinite("second matrix is not PSD") from None
+    n, k = u.shape
+    escape = np.linalg.norm(a @ u, axis=0)
     if np.any(escape > KERNEL_TOL * (1.0 + float(np.max(np.abs(a))))):
         return GenEigResult(math.inf, None, Certificate.KERNEL_ESCAPE)
-    r = split.range
-    top = r.shape[1] - 1
-    if top < 0:
+    if k == n:
         return GenEigResult(0.0, None, Certificate.ZERO_ZERO)
-    w, z = scipy.linalg.eigh(c[k:, k:], r.T @ b @ r, subset_by_index=[top, top])
-    return GenEigResult(max(float(w[0]), 0.0), r @ z[:, 0],
+    if k:
+        r = np.linalg.qr(u, mode="complete")[0][:, k:]
+        a, b = r.T @ a @ r, r.T @ b @ r
+    top = n - k - 1
+    w, z = scipy.linalg.eigh(a, b, subset_by_index=[top, top])
+    return GenEigResult(max(float(w[0]), 0.0), r @ z[:, 0] if k else z[:, 0],
                         Certificate.REDUCED_PENCIL)
 
 
@@ -264,7 +262,7 @@ def lambda_max_eps(x, y, eps: float) -> GenEigResult:
     """Top eigenpair, alone, of the regularized definite pencil
     (X, Y + eps*I); the eigenvector v has v'(Y + eps*I)v = 1."""
     _require_positive(eps, "eps", InvalidEpsilon)
-    a, b, _ = _require_psd_pair(x, y)
+    a, b = _require_psd_pair(x, y)
     n = a.shape[0]
     try:  # Y within PSD_TOL of PSD may leave Y + eps*I indefinite
         w, vecs = scipy.linalg.eigh(a, b + eps * np.eye(n),
@@ -283,7 +281,7 @@ def rayleigh_sup_oracle(x, y, samples: int, seed: int) -> float:
     kernel of Y, and returns the best quotient seen.  Deterministic given the
     seed, and always at most the exact extended value.
     """
-    a, b, _ = _require_psd_pair(x, y)
+    a, b = _require_psd_pair(x, y)
     if float(np.max(np.abs(b))) <= PSD_TOL:
         raise DegeneratePair("denominator matrix is zero")
     vs = np.random.default_rng(seed).standard_normal((samples, a.shape[0]))

@@ -3,11 +3,10 @@
 Positive-semidefiniteness tests and kernel bases at two fixed relative
 thresholds, ``PSD_TOL`` and ``KERNEL_TOL``, each scaled by ``1 + max|entry|``
 of the matrix under test so that decisions are invariant under rescaling of
-the problem data.  Everything here is a pure function of its inputs; matrices
-are small and dense, so a single full eigendecomposition serves all queries:
-``psd_split`` gives the PSD verdict, the kernel basis and the range basis from
-one ``eigh``, and ``kernel_basis``/``range_basis`` accept its result in place
-of the matrix.  ``is_psd`` alone needs only a Cholesky factorization.
+the problem data.  Everything here is a pure function of its inputs.
+``is_psd`` is one Cholesky factorization, ``kernel_basis`` one eigensolve for
+the eigenpairs at or below the kernel threshold alone; ``psd_split`` adds one
+``eigh`` for the range basis, and both bases accept its result as input.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import InvalidMatrix, NotPositiveSemidefinite
 
@@ -32,9 +32,11 @@ def as_symmetric(x) -> np.ndarray:
     return 0.5 * a + 0.5 * a.T  # halved first: A + A' may overflow
 
 
-def _check_finite(a: np.ndarray):
+def _finite_symmetric(x) -> np.ndarray:
+    a = as_symmetric(x)
     if not np.all(np.isfinite(a)):
         raise InvalidMatrix("matrix has non-finite entries")
+    return a
 
 
 def is_psd(x) -> bool:
@@ -42,8 +44,7 @@ def is_psd(x) -> bool:
     t = ``PSD_TOL * (1 + max|entry|)``, decided by a Cholesky factorization
     of ``x + t*I``.  Within about ``n * roundoff * ||x||`` of ``-t``
     rounding decides."""
-    a = as_symmetric(x)
-    _check_finite(a)
+    a = _finite_symmetric(x)
     shift = PSD_TOL * (1.0 + float(np.max(np.abs(a))))
     try:
         np.linalg.cholesky(a + shift * np.eye(a.shape[0]))
@@ -54,8 +55,8 @@ def is_psd(x) -> bool:
 
 @dataclass(frozen=True)
 class PsdSplit:
-    """PSD verdict and orthonormal eigenvectors ``basis`` (ascending) of one
-    matrix: the ``kernel`` columns, then the ``range`` columns."""
+    """PSD verdict, ``kernel`` basis and ascending orthonormal eigenvectors
+    ``basis`` of one matrix; ``range`` is the last ``n - k`` of them."""
 
     is_psd: bool
     kernel: np.ndarray
@@ -63,29 +64,24 @@ class PsdSplit:
     basis: np.ndarray
 
 
-def psd_split(x) -> PsdSplit:
-    """PSD verdict, kernel basis and range basis from one eigendecomposition.
-
-    The thresholds are those of ``is_psd`` (here read off the eigenvalues)
-    and ``kernel_basis``, both scaled by ``1 + max|entry|``.  A ``PsdSplit``
-    passed in is returned as is.
-    """
-    if isinstance(x, PsdSplit):
-        return x
-    a = as_symmetric(x)
-    _check_finite(a)
-    w, v = np.linalg.eigh(a)
+def _kernel_split(a: np.ndarray) -> tuple[bool, np.ndarray]:
+    """PSD verdict and kernel basis of a finite symmetric ``a`` from dsyevr's
+    eigenpairs at or below the kernel threshold (none: positive definite)."""
     scale = 1.0 + float(np.max(np.abs(a)))
-    nullity = int(np.searchsorted(w, KERNEL_TOL * scale, side="right"))
-    return PsdSplit(is_psd=bool(w[0] >= -PSD_TOL * scale),
-                    kernel=v[:, :nullity], range=v[:, nullity:], basis=v)
+    w, v, m, _, info = lapack.dsyevr(a, range="V", vl=-np.inf,
+                                     vu=KERNEL_TOL * scale, lower=1)
+    if info:
+        raise InvalidMatrix(f"LAPACK dsyevr failed with info = {info}")
+    return bool(m == 0 or w[0] >= -PSD_TOL * scale), v[:, :m]
 
 
-def _require_psd_split(x, caller: str) -> PsdSplit:
-    split = psd_split(x)
-    if not split.is_psd:
-        raise NotPositiveSemidefinite(f"{caller} requires a PSD matrix")
-    return split
+def psd_split(x) -> PsdSplit:
+    """``kernel_basis``'s PSD verdict and kernel, and a full eigenbasis for
+    the range."""
+    a = _finite_symmetric(x)
+    psd, kernel = _kernel_split(a)
+    v = np.linalg.eigh(a)[1]
+    return PsdSplit(psd, kernel, range=v[:, kernel.shape[1]:], basis=v)
 
 
 def kernel_basis(x) -> np.ndarray:
@@ -93,14 +89,20 @@ def kernel_basis(x) -> np.ndarray:
 
     Returns an ``n x k`` array whose columns span the eigenspace with
     eigenvalues at or below ``KERNEL_TOL * (1 + max|entry|)``; ``k = 0`` for a
-    positive definite matrix.  ``x`` is the matrix or its ``psd_split``.
+    positive definite matrix, and only these eigenpairs are computed.
+    ``x`` is the matrix or its ``psd_split``.
     """
-    return _require_psd_split(x, "kernel_basis").kernel
+    psd, kernel = (x.is_psd, x.kernel) if isinstance(x, PsdSplit) \
+        else _kernel_split(_finite_symmetric(x))
+    if not psd:
+        raise NotPositiveSemidefinite("kernel_basis requires a PSD matrix")
+    return kernel
 
 
 def range_basis(x) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the kernel.
-
-    ``x`` is the matrix or its ``psd_split``.
-    """
-    return _require_psd_split(x, "range_basis").range
+    """Orthonormal basis of the orthogonal complement of the kernel; ``x``
+    is the matrix or its ``psd_split``."""
+    split = x if isinstance(x, PsdSplit) else psd_split(x)
+    if not split.is_psd:
+        raise NotPositiveSemidefinite("range_basis requires a PSD matrix")
+    return split.range

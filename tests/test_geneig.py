@@ -94,19 +94,20 @@ def test_lambda_max_rejects_indefinite():
 
 def record_solver_calls(monkeypatch):
     """Patch the eigensolvers and Cholesky; returns the list of calls made,
-    each as (function name, first argument, ``subset_by_index``)."""
+    each as (function name, first argument, ``subset_by_index``, or for
+    LAPACK's dsyevr, as ``symmat`` calls it, its ``range``)."""
     calls = []
 
     def recording(name, fn):
         def wrapped(a, *args, **kwargs):
-            calls.append((name, np.asarray(a),
-                          kwargs.get("subset_by_index")))
+            calls.append((name, np.asarray(a), kwargs.get(
+                "subset_by_index", kwargs.get("range"))))
             return fn(a, *args, **kwargs)
         return wrapped
 
     for owner, name in [(np.linalg, "cholesky"), (np.linalg, "eigh"),
                         (np.linalg, "eigvalsh"), (scipy.linalg, "cholesky"),
-                        (scipy.linalg, "eigh")]:
+                        (scipy.linalg, "eigh"), (symmat.lapack, "dsyevr")]:
         monkeypatch.setattr(owner, name, recording(
             f"{owner.__name__}.{name}", getattr(owner, name)))
     return calls
@@ -130,10 +131,11 @@ def test_extended_values_decompose_y_once(monkeypatch, fn):
     x, y = rank_four_pair()
     calls = record_solver_calls(monkeypatch)
     fn(x, y)
-    # one Cholesky of X + t*I (the PSD check), one eigh of Y, then only the
-    # top eigenvalue of the pencil reduced to Y's 4-dim range
+    # one Cholesky of X + t*I (the PSD check), one value-range dsyevr of Y
+    # for its kernel alone (no full eigh), then only the top eigenvalue of
+    # the pencil reduced to Y's 4-dim range
     assert [(name, subset) for name, _, subset in calls] == [
-        ("numpy.linalg.cholesky", None), ("numpy.linalg.eigh", None),
+        ("numpy.linalg.cholesky", None), ("scipy.linalg.lapack.dsyevr", "V"),
         ("scipy.linalg.eigh", [3, 3])]
     shift = 1e-10 * (1.0 + np.max(np.abs(x)))
     assert np.allclose(calls[0][1], x + shift * np.eye(6), rtol=0.0,
@@ -212,6 +214,37 @@ def test_values_match_the_generalized_route_on_random_pairs():
         assert_values_match_generalized_route(x, y, 1e-12)
 
 
+def planted_pair(rng, n, k, escape):
+    """Y with a planted kernel of dimension k; X vanishes on it (its 0/0
+    directions), or with ``escape`` also has a unit z z' in it."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    y = (q[:, k:] * rng.uniform(0.5, 5.0, n - k)) @ q[:, k:].T
+    f = q[:, k:] @ rng.standard_normal((n - k, int(rng.integers(1, n - k + 1))))
+    x = f @ f.T
+    if escape:
+        z = q[:, :k] @ rng.standard_normal(k)
+        x += np.outer(z, z) / (z @ z)
+    return symmat.as_symmetric(x), symmat.as_symmetric(y)
+
+
+@pytest.mark.parametrize("n", [48, 80])
+def test_values_match_the_generalized_route_at_benchmark_sizes(n):
+    # the benchmark's pair sizes, kernels of dimension 0 to 6
+    rng = np.random.default_rng(n)
+    for k in range(7):
+        for escape in ((False, True) if k else (False,)):
+            x, y = planted_pair(rng, n, k, escape)
+            assert symmat.kernel_basis(y).shape == (n, k)
+            r = lambda_max_ext(x, y)
+            assert (r.certificate is Certificate.KERNEL_ESCAPE) == escape
+            assert_values_match_generalized_route(x, y, 1e-12)
+    # and the all-zero pair: 0/0 = 0, so lambda_min is 1/0 = inf
+    zero = np.zeros((n, n))
+    r = lambda_max_ext(zero, zero)
+    assert (r.value, r.certificate) == (0.0, Certificate.ZERO_ZERO)
+    assert lambda_min_ext(zero, zero) == math.inf
+
+
 def test_values_match_the_generalized_route_near_the_kernel_threshold():
     # Y's smallest range eigenvalues sit at 10 to 1000 times the kernel
     # threshold: the reduced pencil's condition number reaches about 1e7
@@ -250,6 +283,38 @@ def test_eigenvectors_meet_their_normalization():
         assert residual <= 1e-12 * (np.linalg.norm(x) + r.value
                                     * np.linalg.norm(y)) * np.linalg.norm(v)
         checked += 1
+
+
+def eigh_kernel(y):
+    """Kernel basis of Y by a full eigh, independent of ``kernel_basis``."""
+    w, v = np.linalg.eigh(y)
+    return v[:, w <= symmat.KERNEL_TOL * (1.0 + np.max(np.abs(y)))]
+
+
+def degenerate_pairs():
+    """X = 0, or an X on Y's kernel too small to escape it: either way X
+    vanishes on Y's range, where every vector is a top eigenvector."""
+    yield pytest.param(np.zeros((3, 3)), np.diag([1.0, 2.0, 0.0]), id="diag")
+    rng = np.random.default_rng(53)
+    for n in (2, 7, 24, 48):
+        k = int(rng.integers(1, n))
+        _, y = planted_pair(rng, n, k, escape=False)
+        g = eigh_kernel(y) @ rng.standard_normal((k, k))
+        on_kernel = symmat.as_symmetric(g @ g.T)
+        yield pytest.param(np.zeros((n, n)), y, id=f"zero-{n}")
+        yield pytest.param(1e-10 * on_kernel / np.max(np.abs(on_kernel)), y,
+                           id=f"on-kernel-{n}")
+
+
+@pytest.mark.parametrize("x, y", degenerate_pairs())
+def test_zero_pencil_on_the_range_gives_a_range_eigenvector(x, y):
+    r = lambda_max_ext(x, y)
+    assert r.certificate is Certificate.REDUCED_PENCIL
+    assert r.value == pytest.approx(0.0, abs=1e-12)
+    v = r.eigenvector
+    # v is no kernel vector of Y (v'Yv = 0 there): it lies in Y's range
+    assert abs(v @ y @ v - 1.0) <= 1e-12
+    assert np.linalg.norm(eigh_kernel(y).T @ v) <= 1e-12 * np.linalg.norm(v)
 
 
 def test_lambda_max_matches_membership_oracle():
