@@ -212,9 +212,9 @@ def lambda_max_ext(x, y) -> GenEigResult:
     Returns +inf when a kernel direction of Y escapes the kernel of X, else
     0 when Y is numerically zero (0/0), else the top eigenvalue of the
     pencil reduced to the range of Y.  Only Y's kernel basis U is computed;
-    the escape norms are the column norms of XU.  A range basis R (I if k =
-    0) completes U in its QR factorization, and LAPACK computes only the top
-    pair (value, z) of (R'XR, R'YR).  v = Rz has v'Yv = 1, Xv = value * Yv.
+    the escape norms are the column norms of XU.  LAPACK computes only the
+    top pair (value, z) of (R'XR, R'YR), R = ``symmat.kernel_complement(U)``
+    (I if k = 0), and v = Rz has v'Yv = 1 and Xv = value * Yv.
     """
     a, b = _require_psd_pair(x, y, check_y=False)
     try:
@@ -228,10 +228,9 @@ def lambda_max_ext(x, y) -> GenEigResult:
     if k == n:
         return GenEigResult(0.0, None, Certificate.ZERO_ZERO)
     if k:
-        r = np.linalg.qr(u, mode="complete")[0][:, k:]
+        r = symmat.kernel_complement(u)
         a, b = r.T @ a @ r, r.T @ b @ r
-    top = n - k - 1
-    w, z = scipy.linalg.eigh(a, b, subset_by_index=[top, top])
+    w, z = scipy.linalg.eigh(a, b, subset_by_index=[n - k - 1] * 2)
     return GenEigResult(max(float(w[0]), 0.0), r @ z[:, 0] if k else z[:, 0],
                         Certificate.REDUCED_PENCIL)
 

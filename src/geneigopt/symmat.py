@@ -5,8 +5,8 @@ thresholds, ``PSD_TOL`` and ``KERNEL_TOL``, each scaled by ``1 + max|entry|``
 of the matrix under test so that decisions are invariant under rescaling of
 the problem data.  Everything here is a pure function of its inputs.
 ``is_psd`` is one Cholesky factorization, ``kernel_basis`` one eigensolve for
-the eigenpairs at or below the kernel threshold alone; ``psd_split`` adds one
-``eigh`` for the range basis, and both bases accept its result as input.
+the kernel's eigenpairs alone, ``range_basis`` its ``kernel_complement``;
+``psd_split`` adds an eigenbasis, and both bases accept it as input.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def is_psd(x) -> bool:
 
 @dataclass(frozen=True)
 class PsdSplit:
-    """PSD verdict, ``kernel`` basis and ascending orthonormal eigenvectors
-    ``basis`` of one matrix; ``range`` is the last ``n - k`` of them."""
+    """PSD verdict, ``kernel`` U, ``range`` R = ``kernel_complement(U)`` and
+    the ascending orthonormal eigenbasis ``basis`` = [U, RZ] of one matrix."""
 
     is_psd: bool
     kernel: np.ndarray
@@ -75,34 +75,34 @@ def _kernel_split(a: np.ndarray) -> tuple[bool, np.ndarray]:
     return bool(m == 0 or w[0] >= -PSD_TOL * scale), v[:, :m]
 
 
+def kernel_complement(u: np.ndarray) -> np.ndarray:
+    """Orthonormal complement of ``u``'s columns by a complete QR, O(n²k)."""
+    return np.linalg.qr(u, mode="complete")[0][:, u.shape[1]:]
+
+
 def psd_split(x) -> PsdSplit:
-    """``kernel_basis``'s PSD verdict and kernel, and a full eigenbasis for
-    the range."""
+    """``kernel_basis``'s verdict and kernel U, its range R, and Z the
+    ascending eigenvectors of R'xR for the eigenbasis [U, RZ]."""
     a = _finite_symmetric(x)
     psd, kernel = _kernel_split(a)
-    v = np.linalg.eigh(a)[1]
-    return PsdSplit(psd, kernel, range=v[:, kernel.shape[1]:], basis=v)
+    r = kernel_complement(kernel)
+    basis = np.hstack((kernel, r @ np.linalg.eigh(r.T @ a @ r)[1]))
+    return PsdSplit(psd, kernel, range=r, basis=basis)
 
 
 def kernel_basis(x) -> np.ndarray:
-    """Orthonormal basis of the (numerical) kernel of a PSD matrix.
-
-    Returns an ``n x k`` array whose columns span the eigenspace with
-    eigenvalues at or below ``KERNEL_TOL * (1 + max|entry|)``; ``k = 0`` for a
-    positive definite matrix, and only these eigenpairs are computed.
-    ``x`` is the matrix or its ``psd_split``.
-    """
+    """Orthonormal basis (n x k) of the numerical kernel of a PSD matrix,
+    or its ``psd_split``: only the eigenpairs at or below ``KERNEL_TOL * (1 +
+    max|entry|)`` are computed, and k = 0 for a positive definite matrix."""
     psd, kernel = (x.is_psd, x.kernel) if isinstance(x, PsdSplit) \
         else _kernel_split(_finite_symmetric(x))
     if not psd:
-        raise NotPositiveSemidefinite("kernel_basis requires a PSD matrix")
+        raise NotPositiveSemidefinite("matrix is not PSD")
     return kernel
 
 
 def range_basis(x) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the kernel; ``x``
-    is the matrix or its ``psd_split``."""
-    split = x if isinstance(x, PsdSplit) else psd_split(x)
-    if not split.is_psd:
-        raise NotPositiveSemidefinite("range_basis requires a PSD matrix")
-    return split.range
+    """``kernel_complement`` of ``kernel_basis(x)``; ``x`` is the matrix or
+    its ``psd_split``."""
+    u = kernel_basis(x)
+    return x.range if isinstance(x, PsdSplit) else kernel_complement(u)

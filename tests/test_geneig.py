@@ -891,13 +891,20 @@ def test_lapack_workspace_is_queried_once_per_order(monkeypatch):
     assert queries == [5, 40]
 
 
-def _failing(monkeypatch, routine, info):
-    """Make LAPACK's ``routine`` report ``info`` after computing."""
-    real = getattr(geneig.lapack, routine)
+def _failing(monkeypatch, routine, info, only_range=None):
+    """Make LAPACK's ``routine`` report ``info`` after computing, on every
+    call or only on those with ``range=only_range``; returns the list of
+    calls made to fail."""
+    real, failed = getattr(geneig.lapack, routine), []
 
     def call(*args, **kwargs):
-        return (*real(*args, **kwargs)[:-1], info)
+        out = real(*args, **kwargs)
+        if only_range is not None and kwargs.get("range") != only_range:
+            return out
+        failed.append(kwargs.get("range"))
+        return (*out[:-1], info)
     monkeypatch.setattr(geneig.lapack, routine, call)
+    return failed
 
 
 def test_lapack_convergence_failure_is_invalid_matrix(monkeypatch):
@@ -916,12 +923,31 @@ def test_level_test_lapack_failure_is_typed(monkeypatch):
     # a failed top-pair solve in the level test reaches the caller typed
     fs = FeasibleSet(l=[1.0, 1.0], v0=2.0, kind=VOLUME_EQ)
     spec = ProblemSpec(EIGENFREQUENCY, demo_model_without_mass(), fs, eps=0.0)
-    _failing(monkeypatch, "dsyevr", 2)
+    # only the level test's top-pair call (range "I") fails: the warm
+    # start's kernel solves (range "V") go through unharmed
+    failed = _failing(monkeypatch, "dsyevr", 2, only_range="I")
     with pytest.raises(InvalidMatrix, match="LAPACK dsyevr failed with info = 2"):
         solvers.bisection_global(spec)
-    _failing(monkeypatch, "dsyevr", -3)
+    assert failed == ["I"]
+    monkeypatch.undo()
+    failed = _failing(monkeypatch, "dsyevr", -3, only_range="I")
     with pytest.raises(InvalidMatrix, match="info = -3"):
         solvers.bisection_global(spec)
+    assert failed == ["I"]
+
+
+@pytest.mark.parametrize("info", [2, -3])
+def test_kernel_solve_lapack_failure_is_typed(monkeypatch, info):
+    # a failed value-range solve of Y's kernel reaches every caller typed
+    x, y = rank_four_pair()
+    failed = _failing(monkeypatch, "dsyevr", info, only_range="V")
+    message = f"LAPACK dsyevr failed with info = {info}"
+    for call in (symmat.kernel_basis, symmat.range_basis, symmat.psd_split,
+                 lambda y: lambda_max_ext(x, y),
+                 lambda y: lambda_min_ext(y, x)):
+        with pytest.raises(InvalidMatrix, match=message):
+            call(y)
+    assert failed == ["V"] * 5
 
 
 def test_composite_value_grad_closed_form():

@@ -141,3 +141,16 @@ def test_range_plus_kernel_span_everything():
             red = ran.T @ a @ ran
             assert np.linalg.eigvalsh(red)[0] > 1e-9
 
+
+
+def test_psd_split_is_one_split():
+    # the eigenbasis starts with the kernel itself and spans the range after
+    # it, so no eigenvalue near the threshold can land on both sides
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+    a = (q[:, 3:] * rng.uniform(0.5, 4.0, 6)) @ q[:, 3:].T
+    split = psd_split(a)
+    assert split.kernel.shape == (9, 3)
+    assert np.array_equal(split.basis[:, :3], split.kernel)
+    assert np.allclose(split.range @ split.range.T,
+                       split.basis[:, 3:] @ split.basis[:, 3:].T)
