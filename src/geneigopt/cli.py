@@ -452,6 +452,8 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return _dispatch_solve(load_config(args.config), args.config)
         if args.command == "render":
+            if not 0 <= args.threshold < math.inf:
+                raise ConfigError("--threshold: must be nonnegative and finite")
             result = _read_json(args.result, "result")
             out = args.out or os.path.splitext(args.result)[0] + ".svg"
             _require_output_path(out, "-o")

@@ -56,8 +56,9 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if min(self.smoothing_mu0, self.tol_obj, self.bisect_tol) <= 0:
-            raise ValueError("smoothing and tolerances must be positive")
+        if not all(0 < v < math.inf for v in (self.smoothing_mu0,
+                                               self.tol_obj, self.bisect_tol)):
+            raise ValueError("smoothing and tolerances must be positive and finite")
 
 
 @dataclass

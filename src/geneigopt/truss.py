@@ -53,10 +53,10 @@ class Material:
     density: float = 0.0
 
     def __post_init__(self):
-        if self.young_modulus <= 0:
-            raise ValueError("Young's modulus must be positive")
-        if self.density < 0:
-            raise ValueError("density must be nonnegative")
+        if not 0 < self.young_modulus < np.inf:
+            raise ValueError("Young's modulus must be positive and finite")
+        if not 0 <= self.density < np.inf:
+            raise ValueError("density must be nonnegative and finite")
 
 
 def grid_node_index(nx: int, ix: int, iy: int) -> int:
@@ -74,8 +74,8 @@ def generate_ground_structure(nx: int, ny: int, spacing: float,
     """
     if nx < 1 or ny < 1 or nx * ny < 2:
         raise ValueError("grid must contain at least two nodes")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    if not 0 < spacing < np.inf:
+        raise ValueError("spacing must be positive and finite")
     iy, ix = np.divmod(np.arange(nx * ny), nx)
     nodes = np.column_stack((ix, iy)).astype(float) * spacing
     a, b = np.triu_indices(nx * ny, k=1)

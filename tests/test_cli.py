@@ -405,6 +405,23 @@ def test_render_threshold_filters_bars(tmp_path):
     assert n_big <= n_all
 
 
+def test_render_bad_threshold_is_config_error(tmp_path, capsys):
+    # a NaN threshold compares false against every bar, so all would be drawn
+    path, _ = two_bar_grid_config(tmp_path)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+    out_path = tmp_path / "design.svg"
+    for bad in ("nan", "inf", "-0.1"):
+        capsys.readouterr()
+        assert cli.main(["render", str(tmp_path / "grid.result.json"),
+                         "-o", str(out_path), "--threshold", bad]) == \
+            cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert "Traceback" not in out.out + out.err
+        assert out.err.startswith("config error: --threshold") and \
+            out.err.count("\n") == 1
+        assert not out_path.exists()
+
+
 @pytest.mark.parametrize("kind", ["missing", "config"])
 def test_render_bad_result_is_typed_error(tmp_path, capsys, kind):
     path, _ = single_bar_config(tmp_path)

@@ -942,12 +942,12 @@ def test_kernel_solve_lapack_failure_is_typed(monkeypatch, info):
     x, y = rank_four_pair()
     failed = _failing(monkeypatch, "dsyevr", info, only_range="V")
     message = f"LAPACK dsyevr failed with info = {info}"
-    for call in (symmat.kernel_basis, symmat.range_basis, symmat.psd_split,
+    for call in (symmat.kernel_basis, symmat.range_basis,
                  lambda y: lambda_max_ext(x, y),
                  lambda y: lambda_min_ext(y, x)):
         with pytest.raises(InvalidMatrix, match=message):
             call(y)
-    assert failed == ["V"] * 5
+    assert failed == ["V"] * 4
 
 
 def test_composite_value_grad_closed_form():

@@ -559,6 +559,11 @@ def test_solver_options_validation():
         SolverOptions(max_iters=0)
     with pytest.raises(ValueError):
         SolverOptions(smoothing_mu0=-1.0)
+    # each tolerance must be positive and finite: a NaN fails the check
+    for key in ("smoothing_mu0", "tol_obj", "bisect_tol"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SolverOptions(**{key: bad})
 
 
 def test_apg_solves_each_design_point_once(monkeypatch):

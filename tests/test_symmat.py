@@ -9,7 +9,7 @@ from geneigopt.symmat import (
     as_symmetric,
     is_psd,
     kernel_basis,
-    psd_split,
+    kernel_complement,
     range_basis,
 )
 
@@ -41,24 +41,11 @@ def test_as_symmetric_rejects_non_square():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_psd_split_rejects_non_finite(bad):
+def test_symmat_rejects_non_finite(bad):
     x = np.array([[bad, 0.0], [0.0, 1.0]])
-    with pytest.raises(InvalidMatrix):
-        psd_split(x)
-    with pytest.raises(InvalidMatrix):
-        is_psd(x)
-
-
-@pytest.mark.parametrize("x, values", [
-    (np.diag([3.0, 1.0]), [1.0, 3.0]),
-    ([[0.0, 1.0], [1.0, 0.0]], [-1.0, 1.0]),
-    (np.eye(3), [1.0, 1.0, 1.0]),
-], ids=["diagonal", "exchange", "identity"])
-def test_psd_split_basis_is_an_orthonormal_eigenbasis(x, values):
-    # ascending eigenvectors: V'XV is the diagonal of the eigenvalues
-    v = psd_split(x).basis
-    assert np.allclose(v.T @ v, np.eye(len(values)))
-    assert np.allclose(v.T @ as_symmetric(x) @ v, np.diag(values))
+    for call in (is_psd, kernel_basis, range_basis):
+        with pytest.raises(InvalidMatrix):
+            call(x)
 
 
 def test_is_psd_basic():
@@ -79,7 +66,8 @@ def test_is_psd_tolerance_scales_with_magnitude():
 @pytest.mark.parametrize("n", [2, 24, 80])
 def test_is_psd_agrees_with_the_eigenvalue_rule(n):
     # lambda_min planted at -delta*(1 -+ 1e-2), delta the threshold
-    # PSD_TOL*(1 + max|X|), on matrices of entry size 1e-3 to 1e8
+    # PSD_TOL*(1 + max|X|), on matrices of entry size 1e-3 to 1e8; both
+    # is_psd's Cholesky and kernel_basis's dsyevr verdict follow the rule
     rng = np.random.default_rng(n)
     psd_tol = symmat.PSD_TOL
     for size in 10.0 ** np.array([-3.0, -1.0, 1.0, 3.0, 5.0, 8.0]):
@@ -94,6 +82,11 @@ def test_is_psd_agrees_with_the_eigenvalue_rule(n):
             rule = lam_min >= -psd_tol * (1.0 + np.max(np.abs(x)))
             assert rule == want, (n, size, factor)
             assert is_psd(x) == want, (n, size, factor)
+            if want:
+                kernel_basis(x)
+            else:
+                with pytest.raises(NotPositiveSemidefinite):
+                    kernel_basis(x)
 
 
 def test_kernel_basis_examples():
@@ -109,10 +102,8 @@ def test_kernel_basis_examples():
 def test_kernel_basis_requires_psd():
     with pytest.raises(NotPositiveSemidefinite):
         kernel_basis([[1.0, 2.0], [2.0, 1.0]])
-    split = psd_split([[1.0, 2.0], [2.0, 1.0]])
-    assert not split.is_psd
     with pytest.raises(NotPositiveSemidefinite):
-        range_basis(split)
+        range_basis([[1.0, 2.0], [2.0, 1.0]])
 
 
 def test_range_plus_kernel_span_everything():
@@ -127,13 +118,8 @@ def test_range_plus_kernel_span_everything():
         ker = kernel_basis(a)
         ran = range_basis(a)
         assert ker.shape[1] + ran.shape[1] == dim
-        # one split answers the same queries, and the bases take it as input
-        split = psd_split(a)
-        assert split.is_psd
-        assert np.array_equal(split.kernel, ker)
-        assert np.array_equal(split.range, ran)
-        assert kernel_basis(split) is split.kernel
-        assert range_basis(split) is split.range
+        # the range comes from the one kernel decision
+        assert np.array_equal(ran, kernel_complement(kernel_basis(a)))
         # A annihilates its kernel and is definite on its range
         if ker.shape[1]:
             assert np.max(np.abs(a @ ker)) < 1e-7
@@ -141,16 +127,3 @@ def test_range_plus_kernel_span_everything():
             red = ran.T @ a @ ran
             assert np.linalg.eigvalsh(red)[0] > 1e-9
 
-
-
-def test_psd_split_is_one_split():
-    # the eigenbasis starts with the kernel itself and spans the range after
-    # it, so no eigenvalue near the threshold can land on both sides
-    rng = np.random.default_rng(3)
-    q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
-    a = (q[:, 3:] * rng.uniform(0.5, 4.0, 6)) @ q[:, 3:].T
-    split = psd_split(a)
-    assert split.kernel.shape == (9, 3)
-    assert np.array_equal(split.basis[:, :3], split.kernel)
-    assert np.allclose(split.range @ split.range.T,
-                       split.basis[:, 3:] @ split.basis[:, 3:].T)

@@ -1,5 +1,6 @@
 """Tests for ground-structure generation and pencil assembly."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,18 @@ def test_material_validation():
         Material(young_modulus=0.0)
     with pytest.raises(ValueError):
         Material(density=-1.0)
+    # positive (density: nonnegative) and finite, and a NaN fails the check
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Material(young_modulus=bad)
+        with pytest.raises(ValueError):
+            Material(density=bad)
+
+
+@pytest.mark.parametrize("spacing", [0.0, -1.0, math.nan, math.inf])
+def test_spacing_must_be_positive_and_finite(spacing):
+    with pytest.raises(ValueError, match="spacing"):
+        generate_ground_structure(2, 2, spacing)
 
 
 def single_bar_structure():
