@@ -228,6 +228,7 @@ def build_from_config(cfg: dict):
         load_scale=cfg.get("load_scale", 1.0),
         nonstructural_mass=cfg.get("nonstructural_mass", 0.0),
         load_dims=cfg.get("load_dims", 2),
+        problem=cfg["problem"],
     )
     return gs, model
 

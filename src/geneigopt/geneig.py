@@ -195,13 +195,14 @@ def _require_each(ok: np.ndarray, error: type, what: str):
 
 
 def _require_psd_pair(x, y, *, check_y: bool = True):
-    """Symmetric X, Y of one shape, checked PSD (Y only if ``check_y``)."""
-    a, b = as_symmetric(x), as_symmetric(y)
+    """Symmetric, finite X, Y of one shape, each symmetrized once and
+    checked PSD (Y only if ``check_y``)."""
+    a, b = symmat._finite_symmetric(x), symmat._finite_symmetric(y)
     if a.shape != b.shape:
         raise ValueError("matrix pair must share one dimension")
-    if not symmat.is_psd(a):
+    if not symmat._is_psd_symmetric(a):
         raise NotPositiveSemidefinite("first matrix is not PSD")
-    if check_y and not symmat.is_psd(b):
+    if check_y and not symmat._is_psd_symmetric(b):
         raise NotPositiveSemidefinite("second matrix is not PSD")
     return a, b
 

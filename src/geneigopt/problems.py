@@ -78,6 +78,9 @@ class ProblemSpec:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if not 0 <= self.eps < math.inf:
             raise ValueError("eps must be nonnegative and finite")
+        need = "m_pencil" if self.kind == EIGENFREQUENCY else "q_matrix"
+        if getattr(self.model, need, None) is None:
+            raise ValueError(f"a {self.kind} model needs its {need}")
 
     def objective_pencils(self) -> tuple[AffinePencil, AffinePencil]:
         """Pencils (A, B) such that the objective is lmax(A(x), B(x) [+ eps I])."""
@@ -95,8 +98,9 @@ class ProblemSpec:
 class PencilModel:
     """Pencils K(x) and M(x), load weights Q and member volumes per area.
 
-    ``truss.build_model`` fills every field (``load_node`` carries the load
-    and the non-structural mass); the closed-form instances leave some out.
+    ``truss.build_model`` fills every field but, for robust compliance,
+    ``m_pencil`` (``load_node`` carries the load and the non-structural
+    mass); the closed-form instances leave some out.
     """
 
     k_pencil: AffinePencil

@@ -19,6 +19,7 @@ schedule, warm starting each from the last.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,8 +55,10 @@ class SolverOptions:
     bisect_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        it = self.max_iters  # numpy integers too, but not bool, 2.5 or NaN
+        if isinstance(it, bool) or not isinstance(it, numbers.Integral) \
+                or it < 1:
+            raise ValueError("max_iters must be an integer of at least 1")
         if not all(0 < v < math.inf for v in (self.smoothing_mu0,
                                                self.tol_obj, self.bisect_tol)):
             raise ValueError("smoothing and tolerances must be positive and finite")

@@ -41,7 +41,11 @@ def is_psd(x) -> bool:
     t = ``PSD_TOL * (1 + max|entry|)``, decided by a Cholesky factorization
     of ``x + t*I``.  Within about ``n * roundoff * ||x||`` of ``-t``
     rounding decides."""
-    a = _finite_symmetric(x)
+    return _is_psd_symmetric(_finite_symmetric(x))
+
+
+def _is_psd_symmetric(a: np.ndarray) -> bool:
+    """``is_psd`` of a matrix already symmetric and finite."""
     shift = PSD_TOL * (1.0 + float(np.max(np.abs(a))))
     try:
         np.linalg.cholesky(a + shift * np.eye(a.shape[0]))

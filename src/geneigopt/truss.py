@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidLoadNode, NoFreeDofs
 from .geneig import AffinePencil
-from .problems import PencilModel
+from .problems import EIGENFREQUENCY, ROBUST_COMPLIANCE, PencilModel
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,8 @@ def generate_ground_structure(nx: int, ny: int, spacing: float,
 
 def build_model(gs: GroundStructure, mat: Material, load_node: int,
                 load_scale: float = 1.0, nonstructural_mass: float = 0.0,
-                load_dims: int = 2) -> PencilModel:
+                load_dims: int = 2, *,
+                problem: str = EIGENFREQUENCY) -> PencilModel:
     """Assemble element pencils, volume vector and the load weight matrix.
 
     Row j of G holds bar j's direction vector g_j on the free DOFs, so
@@ -96,8 +97,12 @@ def build_model(gs: GroundStructure, mat: Material, load_node: int,
     factors (``AffinePencil.rank_one`` and ``diagonal``), PSD by
     construction.  The load weight matrix Q gets ``load_dims`` unit
     columns (scaled by ``load_scale``) on the load node's DOFs; the
-    non-structural mass sits on the same node's free DOFs.
+    non-structural mass sits on the same node's free DOFs.  Robust
+    compliance reads only K and Q, so its model has ``m_pencil=None``;
+    an eigenfrequency model (the default) has every field.
     """
+    if problem not in (ROBUST_COMPLIANCE, EIGENFREQUENCY):
+        raise ValueError(f"unknown problem kind {problem!r}")
     if load_dims not in (1, 2):
         raise ValueError("load_dims must be 1 or 2")
     free = gs.free_dofs
@@ -124,14 +129,16 @@ def build_model(gs: GroundStructure, mat: Material, load_node: int,
     col = dofs[bar, slot]
     g = np.zeros((m, n))
     g[bar, col] = np.hstack((-unit, unit))[bar, slot]
-    masses = np.zeros((m, n))
-    masses[bar, col] = (0.5 * mat.density * lengths)[bar]
-
-    m0 = np.zeros((n, n))
-    m0[load, load] = nonstructural_mass
     q = np.zeros((n, load_dims))
     q[load[:load_dims], np.arange(load_dims)] = load_scale
-
     k = AffinePencil.rank_one(np.zeros((n, n)), g, mat.young_modulus / lengths)
-    return PencilModel(k_pencil=k, m_pencil=AffinePencil.diagonal(m0, masses),
-                       volumes=lengths, q_matrix=q, load_node=load_node)
+
+    mass = None
+    if problem == EIGENFREQUENCY:
+        masses = np.zeros((m, n))
+        masses[bar, col] = (0.5 * mat.density * lengths)[bar]
+        m0 = np.zeros((n, n))
+        m0[load, load] = nonstructural_mass
+        mass = AffinePencil.diagonal(m0, masses)
+    return PencilModel(k_pencil=k, m_pencil=mass, volumes=lengths,
+                       q_matrix=q, load_node=load_node)

@@ -2,15 +2,28 @@
 
 None of these is on a production path: each recomputes a library quantity
 another way, or as an earlier version of the library computed it.
+``eigenfrequency_model`` gives the tests the mass pencil that a robust
+config's own model does not carry.
 """
 
 import math
 
 import numpy as np
 
-from geneigopt import symmat
+from geneigopt import cli, symmat, truss
 from geneigopt.geneig import AffinePencil
-from geneigopt.problems import VOLUME_LE
+from geneigopt.problems import EIGENFREQUENCY, VOLUME_LE
+
+
+def eigenfrequency_model(cfg):
+    """``truss.build_model(..., problem=EIGENFREQUENCY)`` on a config's
+    geometry, material and load: every field, M too, whatever the config's
+    problem."""
+    gs, model = cli.build_from_config(cfg)
+    return truss.build_model(
+        gs, truss.Material(**cfg.get("material", {})), model.load_node,
+        cfg.get("load_scale", 1.0), cfg.get("nonstructural_mass", 0.0),
+        cfg.get("load_dims", 2), problem=EIGENFREQUENCY)
 
 
 def psi_via_linear_solve(model, x) -> float:

@@ -43,7 +43,12 @@ from geneigopt.truss import (
     generate_ground_structure,
     grid_node_index,
 )
-from oracles import einsum_sums_row_major, quad_einsum, quad_row_major
+from oracles import (
+    eigenfrequency_model,
+    einsum_sums_row_major,
+    quad_einsum,
+    quad_row_major,
+)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_MODELS = {"robust_7x4": "robust_7x4_subgrad",
@@ -152,6 +157,24 @@ def test_lambda_max_eps_solves_top_pair_only(monkeypatch):
     assert [(name, subset) for name, _, subset in calls] == [
         ("numpy.linalg.cholesky", None), ("numpy.linalg.cholesky", None),
         ("scipy.linalg.eigh", [5, 5])]
+
+
+@pytest.mark.parametrize("fn, count", [
+    pytest.param(lambda x, y: lambda_max_eps(x, y, 1e-3), 2, id="eps"),
+    # symmat.kernel_basis symmetrizes Y once more on its own
+    pytest.param(lambda_max_ext, 3, id="ext"),
+    pytest.param(lambda_min_ext, 3, id="min-ext"),
+])
+def test_extended_values_symmetrize_each_matrix_once(monkeypatch, fn, count):
+    calls = []
+
+    def counting(x, _real=symmat.as_symmetric):
+        calls.append(x)
+        return _real(x)
+    monkeypatch.setattr(symmat, "as_symmetric", counting)
+    monkeypatch.setattr(geneig, "as_symmetric", counting)
+    fn(*rank_four_pair())
+    assert len(calls) == count
 
 
 def test_empty_numerical_range_gives_the_zero_y_answers():
@@ -734,12 +757,12 @@ def test_quad_of_a_matrix_is_the_inner_product(m, n):
 
 
 def _truss_pencils(case):
-    """The K and M pencils of a benchmark model or of a grid ground
-    structure (n*n is 7396 at 9x5 and 16384 at 11x6)."""
+    """The K and M pencils of a benchmark config's geometry (M from its
+    eigenfrequency model) or of a grid ground structure (n*n is 7396 at 9x5
+    and 16384 at 11x6)."""
     if case in BENCH_MODELS:
-        cfg = cli.load_config(os.path.join(REPO, "bench", "configs",
-                                           BENCH_MODELS[case] + ".json"))
-        _, model = cli.build_from_config(cfg)
+        model = eigenfrequency_model(cli.load_config(os.path.join(
+            REPO, "bench", "configs", BENCH_MODELS[case] + ".json")))
     else:
         nx, ny = GRIDS[case]
         fixed = {2 * grid_node_index(nx, 0, iy) + d
@@ -1113,12 +1136,10 @@ def test_smoothed_grad_matches_three_operand_oracle():
 
 
 def test_smoothed_grad_allocates_no_coefficient_sized_block():
-    # the M and K pencils of the 7x4 benchmark model: m = 251, n = 48; the
-    # coefficient stack is 4.6 MB, a (n, n) projector 18 kB
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    cfg = cli.load_config(os.path.join(here, "bench", "configs",
-                                       "robust_7x4_subgrad.json"))
-    _, model = cli.build_from_config(cfg)
+    # the M and K pencils of the 7x4 benchmark geometry: m = 251, n = 48;
+    # the coefficient stack is 4.6 MB, a (n, n) projector 18 kB
+    model = eigenfrequency_model(cli.load_config(os.path.join(
+        REPO, "bench", "configs", "robust_7x4_subgrad.json")))
     pa, pb = model.m_pencil, model.k_pencil
     x = np.full(model.m, 0.1 / float(model.volumes.sum()))
     smoothed_value_grad(pa, pb, x, 1e-6, 1e-2)

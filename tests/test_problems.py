@@ -198,6 +198,24 @@ def test_truss_phi_consistency():
         assert abs(approx - exact) <= 1e-5 * (1.0 + abs(exact))
 
 
+def test_problem_spec_needs_the_field_its_kind_reads():
+    # each used to fail deep inside the first solve: TypeError ('NoneType'
+    # object is not callable) or AttributeError
+    fs = FeasibleSet(l=np.array([1.0, 1.0]), v0=2.0)
+    with pytest.raises(ValueError, match="m_pencil"):
+        ProblemSpec(EIGENFREQUENCY, robust_two_bar_model(), fs)
+    with pytest.raises(ValueError, match="q_matrix"):
+        ProblemSpec(ROBUST_COMPLIANCE, demo_model_without_mass(), fs)
+    gs = truss.generate_ground_structure(3, 2, 1.0, frozenset({0, 1, 6, 7}))
+    robust = truss.build_model(gs, truss.Material(1.0, 1.0),
+                               truss.grid_node_index(3, 2, 1),
+                               problem=ROBUST_COMPLIANCE)
+    fs = FeasibleSet(l=robust.volumes, v0=1.0)
+    ProblemSpec(ROBUST_COMPLIANCE, robust, fs)
+    with pytest.raises(ValueError, match="m_pencil"):
+        ProblemSpec(EIGENFREQUENCY, robust, fs)
+
+
 # ----------------------------------------------------------------- feasible set
 
 def test_feasible_set_contains():

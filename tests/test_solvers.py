@@ -555,8 +555,12 @@ def test_active_bar_count():
 
 
 def test_solver_options_validation():
-    with pytest.raises(ValueError):
-        SolverOptions(max_iters=0)
+    # max_iters is an integer >= 1: numpy integers pass, a bool does not
+    for bad in (0, math.nan, 2.5, math.inf, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverOptions(max_iters=bad)
+    for good in (1, np.int64(3), np.int32(7)):
+        assert SolverOptions(max_iters=good).max_iters == good
     with pytest.raises(ValueError):
         SolverOptions(smoothing_mu0=-1.0)
     # each tolerance must be positive and finite: a NaN fails the check

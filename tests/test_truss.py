@@ -1,6 +1,8 @@
 """Tests for ground-structure generation and pencil assembly."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import scipy.linalg
 from geneigopt import cli, truss
 from geneigopt.errors import InvalidLoadNode, NoFreeDofs
 from geneigopt.geneig import AffinePencil
+from geneigopt.problems import ROBUST_COMPLIANCE
 from geneigopt.truss import (
     GroundStructure,
     Material,
@@ -17,6 +20,7 @@ from geneigopt.truss import (
     generate_ground_structure,
     grid_node_index,
 )
+from oracles import eigenfrequency_model
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -88,6 +92,15 @@ def loop_build_model(gs, mat, load_node, load_scale=1.0,
     return {"K": sym[0], "M": sym[1], "volumes": lengths, "M0": m0, "Q": q}
 
 
+def with_mass(cfg, model):
+    """A config's model; a robust one carries no M, so it gets the M of
+    the eigenfrequency model of its geometry, material and load."""
+    assert (model.m_pencil is None) == (cfg["problem"] == ROBUST_COMPLIANCE)
+    if model.m_pencil is not None:
+        return model
+    return replace(model, m_pencil=eigenfrequency_model(cfg).m_pencil)
+
+
 def model_arrays(model):
     return {"K": model.k_pencil.coeffs, "M": model.m_pencil.coeffs,
             "volumes": model.volumes, "M0": model.m_pencil.constant,
@@ -136,7 +149,7 @@ def test_assembly_bit_identical_to_loop_oracle(path):
         gs, Material(**cfg.get("material", {})), model.load_node,
         cfg.get("load_scale", 1.0), cfg.get("nonstructural_mass", 0.0),
         cfg.get("load_dims", 2))
-    got = model_arrays(model)
+    got = model_arrays(with_mass(cfg, model))
     for key, want in expected.items():
         assert got[key].dtype == want.dtype and np.array_equal(got[key], want), key
     assert got["K"].flags.c_contiguous and got["M"].flags.c_contiguous
@@ -177,10 +190,10 @@ def assert_equals_dense(pencil, constant, coefficient, m, chunk=128):
         assert np.array_equal(pencil.coeffs[js.start:js.stop], dense.coeffs)
 
 
-def assert_structured_equals_dense(monkeypatch, build):
-    """Each truss pencil equals the dense constructor's pencil of the same
-    factors, w_j * outer(g_j, g_j) and diag(d_j)."""
-    model, args = build_with_factors(monkeypatch, build)
+def assert_structured_equals_dense(model, args):
+    """Each truss pencil equals the dense constructor's pencil of the
+    factors ``build_with_factors`` saw, w_j * outer(g_j, g_j) and
+    diag(d_j)."""
     k0, g, w = args["rank_one"]
     assert_equals_dense(model.k_pencil, k0,
                         lambda j: np.outer(g[j], g[j]) * w[j], model.m)
@@ -191,17 +204,40 @@ def assert_structured_equals_dense(monkeypatch, build):
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_config_pencils_equal_the_dense_constructor(monkeypatch, path):
     cfg = cli.load_config(str(path))
-    assert_structured_equals_dense(
-        monkeypatch, lambda: cli.build_from_config(cfg)[1])
+    # a robust model's M is its eigenfrequency twin's, whose build the
+    # spies see too (its K factors are the same bits)
+    model, args = build_with_factors(
+        monkeypatch, lambda: with_mass(cfg, cli.build_from_config(cfg)[1]))
+    assert_structured_equals_dense(model, args)
 
 
 @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 2), (7, 4), (9, 5), (11, 6)])
 def test_grid_pencils_equal_the_dense_constructor(monkeypatch, nx, ny):
     gs = generate_ground_structure(nx, ny, 0.7,
                                    node_dofs(nx, [(0, 0), (0, ny - 1)]))
-    assert_structured_equals_dense(monkeypatch, lambda: build_model(
-        gs, Material(2.5, 1.5), grid_node_index(nx, nx - 1, 0),
-        nonstructural_mass=0.25))
+    assert_structured_equals_dense(*build_with_factors(
+        monkeypatch, lambda: build_model(
+            gs, Material(2.5, 1.5), grid_node_index(nx, nx - 1, 0),
+            nonstructural_mass=0.25)))
+
+
+def test_robust_model_builds_no_mass_stack():
+    # robust compliance reads K and Q only: the (m, n, n) mass stack, 4.6 MB
+    # at 7x4, is never built for it, so set-up peaks at about one K stack
+    cfg = cli.load_config(str(REPO / "bench" / "configs"
+                              / "robust_7x4_subgrad.json"))
+    tracemalloc.start()
+    try:
+        _, model = cli.build_from_config(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.m_pencil is None and model.q_matrix is not None
+    assert peak <= 1.25 * model.k_pencil.coeffs.nbytes
+    # with_mass checks every config: M exactly when the problem reads it
+    gs = generate_ground_structure(2, 1, 1.0, node_dofs(2, [(0, 0)]))
+    with pytest.raises(ValueError, match="unknown problem kind"):
+        build_model(gs, Material(), load_node=1, problem="modal")
 
 
 def test_build_model_runs_no_eigensolver(monkeypatch):
