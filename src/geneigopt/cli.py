@@ -210,14 +210,15 @@ def build_from_config(cfg: dict):
     with np.errstate(all="ignore"):  # build_model's bar constants, silently
         d = gs.nodes[gs.bars[:, 1]] - gs.nodes[gs.bars[:, 0]]
         lengths = np.linalg.norm(d, axis=1)
-        stiffness = mat.young_modulus / lengths
-        mass = 0.5 * mat.density * lengths
+        constants = [mat.young_modulus / lengths]  # a robust model has no mass
+        if cfg["problem"] == problems.EIGENFREQUENCY:
+            constants.append(0.5 * mat.density * lengths)
     bad = np.flatnonzero(~((lengths > 0) & (lengths < math.inf)))
     if bad.size:
         field = "bars" if grid is None else "grid"
         raise ConfigError(f"{field}: bar {bad[0]} has length {lengths[bad[0]]}"
                           ", not finite and positive", field=field)
-    bad = np.flatnonzero(~(np.isfinite(stiffness) & np.isfinite(mass)))
+    bad = np.flatnonzero(~np.isfinite(constants).all(axis=0))
     if bad.size:
         raise ConfigError(f"material: bar {bad[0]} (length {lengths[bad[0]]}) "
                           "overflows its stiffness or mass", field="material")
@@ -366,12 +367,8 @@ def render_svg(result: dict, out_path: str,
     if drawn == 0:
         print("warning: no bars above the display threshold", file=sys.stderr)
     for node in range(nodes.shape[0]):
-        if node == load_node:
-            fill = "red"
-        elif node in fixed_nodes:
-            fill = "black"
-        else:
-            fill = "white"
+        fill = "red" if node == load_node else \
+            "black" if node in fixed_nodes else "white"
         ET.SubElement(svg, "circle", cx=f"{px[node]:.2f}",
                       cy=f"{py[node]:.2f}", r="5", fill=fill, stroke="black",
                       attrib={"stroke-width": "1"})

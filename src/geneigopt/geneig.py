@@ -60,9 +60,10 @@ class AffinePencil:
     ``(nvars, n, n)`` stack or None (all zero); ``pencil(x)`` and
     ``quad(Z)`` are each one GEMV on its n*n-wide rows; ``quad(v)`` reads
     ``blocks``, C_j on its nonzero rows ``support[j]`` (ascending, padded
-    with other rows to the widest).  The constructor symmetrizes any stack
+    with other rows to the widest w).  The constructor symmetrizes any stack
     and checks it PSD by one batched eigvalsh; ``rank_one`` and ``diagonal``
-    check only their factors and read the support off them, in O(nvars * n).
+    check their factors, build support and blocks from them (O(nvars * w^2)
+    arithmetic) and scatter the blocks into one zeroed stack allocation.
     """
 
     __slots__ = ("constant", "coeffs", "nvars", "support", "blocks")
@@ -86,15 +87,20 @@ class AffinePencil:
             lam_min = np.linalg.eigvalsh(coeffs)[:, 0]  # one batched call
             _require_each(lam_min >= -PSD_TOL * (1.0 + top),
                           NotPositiveSemidefinite, "is not PSD")
-            self._set_coeffs(coeffs, coeffs.any(axis=2))
+            self._set_coeffs(coeffs)
 
-    def _set_coeffs(self, coeffs, nonzero):
-        """Set the stack, its support from the nonzero-row mask, its blocks."""
-        width = max(1, int(nonzero.sum(axis=1).max()))
-        support = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
-        js = np.arange(len(coeffs))[:, None, None]
-        self.coeffs, self.support = coeffs, support
-        self.blocks = coeffs[js, support[:, :, None], support[:, None, :]]
+    def _set_coeffs(self, coeffs):
+        """Set the stack, its support off its nonzero rows, its blocks."""
+        self.support, index = _support(coeffs.any(axis=2))
+        self.coeffs, self.blocks = coeffs, coeffs[index]
+
+    def _scatter(self, factors, block):
+        """Set the support off the factors' nonzeros, the blocks ``block(f)``
+        of the factors f on it, and the zeroed stack they scatter into."""
+        self.support, index = _support(factors != 0)
+        self.blocks = block(np.take_along_axis(factors, self.support, axis=1))
+        self.coeffs = np.zeros((len(factors), self.dim, self.dim))
+        self.coeffs[index] = self.blocks
 
     @staticmethod
     def rank_one(constant, vectors, weights) -> "AffinePencil":
@@ -111,9 +117,8 @@ class AffinePencil:
         _require_each(np.isfinite(top), InvalidMatrix, "has non-finite entries")
         _require_each(w >= 0, NotPositiveSemidefinite, "is not PSD")
         if len(w):
-            coeffs = v[:, :, None] * v[:, None, :]
-            coeffs *= w[:, None, None]
-            pencil._set_coeffs(coeffs, v != 0)
+            pencil._scatter(v, lambda f: (f[:, :, None] * f[:, None, :])
+                            * w[:, None, None])
         return pencil
 
     @staticmethod
@@ -128,10 +133,9 @@ class AffinePencil:
                       "has non-finite entries")
         _require_each((d >= 0).all(axis=1), NotPositiveSemidefinite,
                       "is not PSD")
-        if len(d):
-            coeffs = np.zeros(d.shape + d.shape[1:])
-            coeffs[:, range(pencil.dim), range(pencil.dim)] = d
-            pencil._set_coeffs(coeffs, d != 0)
+        if len(d):  # diag(f), +0.0 off the diagonal
+            pencil._scatter(d, lambda f: np.where(
+                np.eye(f.shape[1], dtype=bool), f[:, :, None], 0.0))
         return pencil
 
     @property
@@ -154,8 +158,7 @@ class AffinePencil:
             self.nvars)
         if self.coeffs is not None or other.coeffs is not None:
             a, b = (0.0 if p.coeffs is None else p.coeffs for p in (self, other))
-            coeffs = a - alpha * b
-            pencil._set_coeffs(coeffs, coeffs.any(axis=2))
+            pencil._set_coeffs(a - alpha * b)
         return pencil
 
     def __call__(self, x) -> np.ndarray:
@@ -185,6 +188,14 @@ class AffinePencil:
         pencil = AffinePencil(matrix, [])
         pencil.nvars = nvars
         return pencil
+
+
+def _support(nonzero: np.ndarray):
+    """Support s, each row's True columns ascending, padded with its others
+    to the widest (at least 1); and the stack index [j, s[j, a], s[j, b]]."""
+    width = max(1, int(nonzero.sum(axis=1).max()))
+    s = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
+    return s, (np.arange(len(s))[:, None, None], s[:, :, None], s[:, None, :])
 
 
 def _require_each(ok: np.ndarray, error: type, what: str):

@@ -93,9 +93,10 @@ def build_model(gs: GroundStructure, mat: Material, load_node: int,
 
     Row j of G holds bar j's direction vector g_j on the free DOFs, so
     K_j = (E / L_j) g_j g_j'; M_j is diagonal with half the bar mass on
-    each free DOF of both endpoints.  Both pencils are built from these
-    factors (``AffinePencil.rank_one`` and ``diagonal``), PSD by
-    construction.  The load weight matrix Q gets ``load_dims`` unit
+    each free DOF of both endpoints.  ``AffinePencil.rank_one`` and
+    ``diagonal`` build each pencil's blocks from these factors, at
+    O(m * w^2) arithmetic (w <= 4), and scatter them into one zeroed stack;
+    PSD by construction.  The load weight matrix Q gets ``load_dims`` unit
     columns (scaled by ``load_scale``) on the load node's DOFs; the
     non-structural mass sits on the same node's free DOFs.  Robust
     compliance reads only K and Q, so its model has ``m_pencil=None``;

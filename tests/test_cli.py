@@ -182,10 +182,12 @@ def test_bar_length_out_of_range_is_config_error(tmp_path, capsys, make,
 @pytest.mark.parametrize("overrides", [
     {"nodes": [[0.0, 0.0], [1e-150, 0.0]],
      "material": {"young_modulus": 1e200}},
-    {"nodes": [[0.0, 0.0], [1e10, 0.0]], "material": {"density": 1e300}},
+    {"nodes": [[0.0, 0.0], [1e10, 0.0]], "material": {"density": 1e300},
+     "problem": "eigenfrequency"},
 ], ids=["stiffness", "mass"])
 def test_bar_constant_overflow_is_config_error(tmp_path, capsys, overrides):
-    # a valid length whose E/L or 0.5*rho*L overflows: a config error naming
+    # a valid length whose E/L or (for an eigenfrequency model, the only
+    # kind with a mass pencil) 0.5*rho*L overflows: a config error naming
     # the bar, not numpy warnings and then a non-finite pencil coefficient
     path, _ = single_bar_config(tmp_path, **overrides)
     with warnings.catch_warnings(record=True) as caught:
@@ -195,6 +197,28 @@ def test_bar_constant_overflow_is_config_error(tmp_path, capsys, overrides):
     out = capsys.readouterr()
     assert out.err.startswith("config error: material: bar 0 ")
     assert out.err.count("\n") == 1
+
+
+def test_robust_config_ignores_an_overflowing_bar_mass(tmp_path, capsys):
+    # 0.5 * 1e308 * 4 overflows, but a robust model builds no mass pencil,
+    # so its config builds and solves; the eigenfrequency twin, which
+    # would build M from that mass, is a config error naming the material
+    overrides = {"nodes": [[0.0, 0.0], [4.0, 0.0]],
+                 "material": {"density": 1e308}}
+    path = example_config(tmp_path, "single_bar_robust.json", **overrides)
+    _, model = cli.build_from_config(cli.load_config(str(path)))
+    assert model.m_pencil is None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+    assert caught == []
+    (tmp_path / "twin").mkdir()
+    twin = example_config(tmp_path / "twin", "single_bar_robust.json",
+                          problem="eigenfrequency", **overrides)
+    with pytest.raises(ConfigError, match="material: bar 0 ") as info:
+        cli.build_from_config(cli.load_config(str(twin)))
+    assert info.value.field == "material"
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("solver", ["subgradient", "smoothed_apg", "bisection"])

@@ -581,22 +581,65 @@ def random_factors(rng, m, n):
     return v, w, d
 
 
-@pytest.mark.parametrize("seed", range(4))
+def factor_support(factors):
+    """The documented support: row j's nonzero columns ascending, then its
+    zero columns ascending, cut to the widest row's count (at least 1)."""
+    width = max(1, max(np.count_nonzero(f) for f in factors))
+    return np.array([np.r_[np.flatnonzero(f != 0), np.flatnonzero(f == 0)]
+                     [:width] for f in factors])
+
+
+# rank-one rows v_j and weights w_j; each case's diagonals d_j are |v_j|
+# with the signs of its zeros kept
+FACTOR_EDGES = {
+    # an all-zero v_0: its support is padded with rows 0..w-1
+    "zero-vector": ([[0.0, 0.0, 0.0, 0.0], [1.0, -2.0, 0.0, 0.5]], [1.5, 2.0]),
+    "zero-weight": ([[1.0, 2.0, 0.0], [0.5, 0.0, -1.0]], [0.0, 3.0]),
+    # a horizontal bar's g = (-unit, unit) holds -0.0 and +0.0
+    "negative-zero": ([[-1.0, -0.0, 1.0, 0.0], [-0.0, -0.6, 0.0, 0.6],
+                       [-0.0, -0.0, -0.0, -0.0]], [2.0, 0.5, 1.0]),
+    "n-1": ([[2.0], [0.0], [-0.0], [-3.0]], [1.0, 3.0, 0.5, 0.0]),
+    "width-1": ([[0.0, 3.0, 0.0], [-0.0, 0.0, -1.0], [0.0, 0.0, 0.0]],
+                [1.0, 2.0, 4.0]),
+}
+
+
+@pytest.mark.parametrize("seed", [*range(4), *FACTOR_EDGES])
 def test_structured_constructors_match_the_dense_constructor(seed):
-    rng = np.random.default_rng(seed)
-    m, n = int(rng.integers(1, 30)), int(rng.integers(1, 9))
-    v, w, d = random_factors(rng, m, n)
-    a0 = np.diag(rng.uniform(0.0, 1.0, n))
+    if seed in FACTOR_EDGES:
+        v, w = (np.array(a, dtype=float) for a in FACTOR_EDGES[seed])
+        d = np.where(v < 0, -v, v)
+        (m, n), a0 = v.shape, np.eye(v.shape[1])
+    else:
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+        v, w, d = random_factors(rng, m, n)
+        a0 = np.diag(rng.uniform(0.0, 1.0, n))
     rank_one = AffinePencil.rank_one(a0, v, w)
     diagonal = AffinePencil.diagonal(a0, d)
     dense_k = AffinePencil(a0, [wj * np.outer(vj, vj) for vj, wj in zip(v, w)])
     dense_m = AffinePencil(a0, [np.diag(dj) for dj in d])
-    for got, want in ((rank_one, dense_k), (diagonal, dense_m)):
+    for got, want, factors, block in (
+            (rank_one, dense_k, v,
+             lambda j, s: np.multiply.outer(v[j, s], v[j, s]) * w[j]),
+            (diagonal, dense_m, d, lambda j, s: np.diag(d[j, s]))):
         assert got.nvars == want.nvars == m
         assert got.coeffs.dtype == want.coeffs.dtype == float
         assert got.coeffs.flags.c_contiguous
         assert np.array_equal(got.coeffs, want.coeffs)
         assert np.array_equal(got.constant, want.constant)
+        support = factor_support(factors)
+        assert np.array_equal(got.support, support)
+        # the blocks keep the bits of (v_a v_b) w_j and diag(d_j[support_j])
+        blocks = np.array([block(j, s) for j, s in enumerate(support)])
+        assert got.blocks.tobytes() == blocks.tobytes()
+        # the stack is zeroed, then the blocks are scattered into it: every
+        # entry outside support x support is +0.0, never -0.0
+        outside = np.ones(got.coeffs.shape, dtype=bool)
+        for j, s in enumerate(support):
+            outside[j][np.ix_(s, s)] = False
+        rest = got.coeffs[outside]
+        assert not rest.any() and not np.signbit(rest).any()
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -12,7 +12,7 @@ import scipy.linalg
 from geneigopt import cli, truss
 from geneigopt.errors import InvalidLoadNode, NoFreeDofs
 from geneigopt.geneig import AffinePencil
-from geneigopt.problems import ROBUST_COMPLIANCE
+from geneigopt.problems import EIGENFREQUENCY, ROBUST_COMPLIANCE
 from geneigopt.truss import (
     GroundStructure,
     Material,
@@ -167,9 +167,26 @@ def build_with_factors(monkeypatch, build):
     return build(), args
 
 
-def assert_equals_dense(pencil, constant, coefficient, m, chunk=128):
+def assert_reads_equal(pencil, dense, designs):
+    """``pencil(x)``, ``quad(v)`` and ``quad(Z)``, what the solvers read of
+    a pencil, are ``dense``'s bytes at ``designs`` random designs x (some
+    areas exactly zero), vectors v and symmetric Z."""
+    rng, m = np.random.default_rng(0), pencil.nvars
+    for _ in range(designs):
+        x = rng.uniform(0.0, 2.0, m) * (rng.random(m) < 0.8)
+        v = rng.standard_normal(pencil.dim)
+        z = rng.standard_normal((pencil.dim, pencil.dim))
+        z += z.T
+        for read in (lambda p: p(x), lambda p: p.quad(v), lambda p: p.quad(z)):
+            assert read(pencil).tobytes() == read(dense).tobytes()
+
+
+def assert_equals_dense(pencil, constant, coefficient, m, chunk=128,
+                        designs=0):
     """``pencil`` equals the dense ``AffinePencil(constant, [coefficient(j)
-    for j < m])``, built a chunk at a time to bound an 11x6 grid's memory."""
+    for j < m])``, built a chunk at a time to bound an 11x6 grid's memory.
+    With ``designs``, the whole dense pencil is built, read against
+    ``pencil`` by ``assert_reads_equal`` and returned."""
     assert pencil.nvars == m
     assert pencil.coeffs.dtype == float and pencil.coeffs.flags.c_contiguous
     # support and blocks, read off the factors, are C_j's nonzero rows in
@@ -188,17 +205,24 @@ def assert_equals_dense(pencil, constant, coefficient, m, chunk=128):
         assert dense.coeffs.dtype == float and dense.coeffs.flags.c_contiguous
         assert np.array_equal(pencil.constant, dense.constant)
         assert np.array_equal(pencil.coeffs[js.start:js.stop], dense.coeffs)
+    if designs:
+        dense = AffinePencil(constant, [coefficient(j) for j in range(m)])
+        assert_reads_equal(pencil, dense, designs)
+        return dense
 
 
-def assert_structured_equals_dense(model, args):
+def assert_structured_equals_dense(model, args, designs=0):
     """Each truss pencil equals the dense constructor's pencil of the
     factors ``build_with_factors`` saw, w_j * outer(g_j, g_j) and
-    diag(d_j)."""
+    diag(d_j); with ``designs``, returns the dense (K, M) read against
+    them."""
     k0, g, w = args["rank_one"]
-    assert_equals_dense(model.k_pencil, k0,
-                        lambda j: np.outer(g[j], g[j]) * w[j], model.m)
     m0, d = args["diagonal"]
-    assert_equals_dense(model.m_pencil, m0, lambda j: np.diag(d[j]), model.m)
+    return (assert_equals_dense(model.k_pencil, k0,
+                                lambda j: np.outer(g[j], g[j]) * w[j],
+                                model.m, designs=designs),
+            assert_equals_dense(model.m_pencil, m0, lambda j: np.diag(d[j]),
+                                model.m, designs=designs))
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
@@ -208,7 +232,15 @@ def test_config_pencils_equal_the_dense_constructor(monkeypatch, path):
     # spies see too (its K factors are the same bits)
     model, args = build_with_factors(
         monkeypatch, lambda: with_mass(cfg, cli.build_from_config(cfg)[1]))
-    assert_structured_equals_dense(model, args)
+    dense_k, dense_m = assert_structured_equals_dense(model, args, designs=20)
+    if cfg["problem"] == EIGENFREQUENCY:
+        # bisection's level pencil M(x) - alpha (K(x) + eps I) near the
+        # optimum: its GEMVs read its own stack, a - alpha * b of the two
+        alpha, eps = 2277.0, cfg.get("eps", 1e-6)
+        level = model.m_pencil.level(model.k_pencil, alpha, eps)
+        want = dense_m.level(dense_k, alpha, eps)
+        assert level.coeffs.tobytes() == want.coeffs.tobytes()
+        assert_reads_equal(level, want, 20)
 
 
 @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 2), (7, 4), (9, 5), (11, 6)])
