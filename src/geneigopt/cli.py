@@ -455,6 +455,8 @@ def main(argv=None) -> int:
             result = _read_json(args.result, "result")
             out = args.out or os.path.splitext(args.result)[0] + ".svg"
             _require_output_path(out, "-o")
+            if os.path.realpath(out) == os.path.realpath(args.result):
+                raise ConfigError("-o: same file as the result", field="-o")
             try:
                 render_svg(result, out, args.threshold)
             except (KeyError, TypeError, IndexError, ValueError) as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,45 +55,30 @@ class GenEigResult:
 class AffinePencil:
     """Affine symmetric-matrix-valued map x -> A0 + sum_j x_j * A_j.
 
-    Coefficient matrices must be PSD (element stiffness and mass matrices
-    are); the constant term need only be finite, so that shifted pencils
-    used in bisection can reuse the evaluation path.  ``coeffs`` is the
-    ``(nvars, n, n)`` stack or None (all zero); ``pencil(x)`` and
-    ``quad(Z)`` are each one GEMV on its n*n-wide rows; ``quad(v)`` reads
-    ``blocks``, C_j on its nonzero rows ``support[j]`` (ascending, padded
-    with other rows to the widest w).  The constructor symmetrizes any stack
-    and checks it PSD by one batched eigvalsh; ``rank_one`` and ``diagonal``
-    check their factors, build support and blocks from them (O(nvars * w^2)
-    arithmetic) and scatter the blocks into one zeroed stack allocation.
+    ``AffinePencil(constant, nvars)`` is the constant pencil (all nvars
+    coefficients zero, e.g. the QQ' term of robust compliance); the constant
+    need only be finite, so that shifted pencils used in bisection can reuse
+    the evaluation path.  Coefficients come from ``rank_one`` and
+    ``diagonal``, which check their factors PSD and scatter blocks built
+    from them (O(nvars * w^2)) into one zeroed stack, or from ``level``.
+    ``coeffs`` is the ``(nvars, n, n)`` stack or None (all zero);
+    ``pencil(x)`` and ``quad(Z)`` are each one GEMV on its n*n-wide rows;
+    ``quad(v)`` reads ``blocks``, C_j on its nonzero rows ``support[j]``
+    (ascending, padded with other rows to the widest w).
     """
 
     __slots__ = ("constant", "coeffs", "nvars", "support", "blocks")
 
-    def __init__(self, constant, coefficients):
+    def __init__(self, constant, nvars: int):
         a0 = as_symmetric(constant)
         if not np.all(np.isfinite(a0)):
             raise InvalidMatrix("pencil constant has non-finite entries")
-        self.constant = a0
-        self.nvars = len(coefficients)
+        # numpy integers too, but not bool, 2.5 or a coefficient stack
+        if isinstance(nvars, bool) or not isinstance(nvars, numbers.Integral) \
+                or nvars < 0:
+            raise ValueError(f"nvars must be an integer >= 0, got {nvars!r}")
+        self.constant, self.nvars = a0, int(nvars)
         self.coeffs = self.support = self.blocks = None
-        if len(coefficients):
-            raw = np.asarray(coefficients, dtype=float)
-            if raw.shape[1:] != a0.shape:
-                raise ValueError("pencil matrices must share one dimension")
-            half = 0.5 * raw  # halve first: raw + raw' may overflow
-            coeffs = half + half.swapaxes(1, 2)
-            # symmat.is_psd on each C_j, scaled by its own 1 + max|C_j|
-            top = np.maximum(coeffs.max(axis=(1, 2)), -coeffs.min(axis=(1, 2)))
-            _require_each(np.isfinite(top), InvalidMatrix, "has non-finite entries")
-            lam_min = np.linalg.eigvalsh(coeffs)[:, 0]  # one batched call
-            _require_each(lam_min >= -PSD_TOL * (1.0 + top),
-                          NotPositiveSemidefinite, "is not PSD")
-            self._set_coeffs(coeffs)
-
-    def _set_coeffs(self, coeffs):
-        """Set the stack, its support off its nonzero rows, its blocks."""
-        self.support, index = _support(coeffs.any(axis=2))
-        self.coeffs, self.blocks = coeffs, coeffs[index]
 
     def _scatter(self, factors, block):
         """Set the support off the factors' nonzeros, the blocks ``block(f)``
@@ -108,7 +94,7 @@ class AffinePencil:
         weights w_j >= 0, e.g. truss stiffnesses (E / L_j) g_j g_j'."""
         v = np.asarray(vectors, dtype=float)
         w = np.asarray(weights, dtype=float)
-        pencil = AffinePencil.constant_pencil(constant, len(w))
+        pencil = AffinePencil(constant, len(w))
         if v.shape != (len(w), pencil.dim):
             raise ValueError("need one n-vector per weight")
         with np.errstate(over="ignore", invalid="ignore"):  # checked next
@@ -126,7 +112,7 @@ class AffinePencil:
         """C_j = diag(d_j) for the rows d_j >= 0 of ``diagonals``, e.g.
         lumped masses."""
         d = np.asarray(diagonals, dtype=float)
-        pencil = AffinePencil.constant_pencil(constant, len(d))
+        pencil = AffinePencil(constant, len(d))
         if d.shape != (len(d), pencil.dim):
             raise ValueError("need one n-vector per coefficient")
         _require_each(np.isfinite(d).all(axis=1), InvalidMatrix,
@@ -147,18 +133,20 @@ class AffinePencil:
         top = float(np.max(np.abs(self.constant + eps * np.eye(self.dim))))
         if self.coeffs is None:
             return top
-        return top + float(np.max(np.abs(self.coeffs)))
+        return top + float(np.max(np.abs(self.blocks)))  # every nonzero
 
     def level(self, other: "AffinePencil", alpha: float,
               eps: float) -> "AffinePencil":
         """The pencil x -> A(x) - alpha * (B(x) + eps*I) for A = self and
         B = other: bisection's level test (its coefficients are not PSD)."""
-        pencil = AffinePencil.constant_pencil(
+        pencil = AffinePencil(
             self.constant - alpha * (other.constant + eps * np.eye(self.dim)),
             self.nvars)
         if self.coeffs is not None or other.coeffs is not None:
             a, b = (0.0 if p.coeffs is None else p.coeffs for p in (self, other))
-            pencil._set_coeffs(a - alpha * b)
+            coeffs = a - alpha * b  # support off its nonzero rows
+            pencil.support, index = _support(coeffs.any(axis=2))
+            pencil.coeffs, pencil.blocks = coeffs, coeffs[index]
         return pencil
 
     def __call__(self, x) -> np.ndarray:
@@ -181,13 +169,6 @@ class AffinePencil:
             terms = (zs[:, :, None] * self.blocks) * zs[:, None, :]
             return np.cumsum(terms.reshape(self.nvars, -1), axis=1)[:, -1] + 0.0
         return self.coeffs.reshape(self.nvars, -1) @ z.ravel()
-
-    @staticmethod
-    def constant_pencil(matrix, nvars: int) -> "AffinePencil":
-        """Pencil with zero coefficients, e.g. the QQ' term of robust compliance."""
-        pencil = AffinePencil(matrix, [])
-        pencil.nvars = nvars
-        return pencil
 
 
 def _support(nonzero: np.ndarray):

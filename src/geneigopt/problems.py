@@ -89,7 +89,7 @@ class ProblemSpec:
             q = model.q_matrix
             with np.errstate(over="ignore"):  # +inf is InvalidMatrix below
                 qq = q @ q.T
-            a = AffinePencil.constant_pencil(qq, model.k_pencil.nvars)
+            a = AffinePencil(qq, model.k_pencil.nvars)
             return a, model.k_pencil
         return model.m_pencil, model.k_pencil
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from . import geneig, problems, solvers, symmat
 from .problems import (
@@ -38,7 +39,8 @@ def lambda_max_by_membership(x, y) -> float:
     floor = -symmat.PSD_TOL * (1.0 + float(np.max(np.abs(a))))
 
     def feasible(alpha):
-        return float(np.linalg.eigvalsh(alpha * b - a)[0]) >= floor
+        return scipy.linalg.eigh(alpha * b - a, eigvals_only=True,
+                                 subset_by_index=[0, 0])[0] >= floor
 
     if feasible(0.0):
         return 0.0

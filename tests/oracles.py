@@ -2,6 +2,9 @@
 
 None of these is on a production path: each recomputes a library quantity
 another way, or as an earlier version of the library computed it.
+``dense_pencil`` builds a pencil from a whole coefficient stack, the
+oracle that the factor constructors ``AffinePencil.rank_one`` and
+``diagonal`` are tested against.
 ``eigenfrequency_model`` gives the tests the mass pencil that a robust
 config's own model does not carry.
 """
@@ -10,7 +13,8 @@ import math
 
 import numpy as np
 
-from geneigopt import cli, symmat, truss
+from geneigopt import cli, geneig, symmat, truss
+from geneigopt.errors import InvalidMatrix, NotPositiveSemidefinite
 from geneigopt.geneig import AffinePencil
 from geneigopt.problems import EIGENFREQUENCY, VOLUME_LE
 
@@ -24,6 +28,30 @@ def eigenfrequency_model(cfg):
         gs, truss.Material(**cfg.get("material", {})), model.load_node,
         cfg.get("load_scale", 1.0), cfg.get("nonstructural_mass", 0.0),
         cfg.get("load_dims", 2), problem=EIGENFREQUENCY)
+
+
+def dense_pencil(constant, coefficients) -> AffinePencil:
+    """The pencil A0 + sum_j x_j C_j of a dense ``(m, n, n)`` stack, as the
+    library's dense constructor built it: each C_j halved, then
+    symmetrized (raw + raw' may overflow), checked finite and PSD (one
+    batched eigvalsh against -PSD_TOL * (1 + max|C_j|)), each error naming
+    coefficient j, and the support read off the stack's nonzero rows."""
+    pencil = AffinePencil(constant, len(coefficients))
+    if len(coefficients):
+        raw = np.asarray(coefficients, dtype=float)
+        if raw.shape[1:] != pencil.constant.shape:
+            raise ValueError("pencil matrices must share one dimension")
+        half = 0.5 * raw
+        coeffs = half + half.swapaxes(1, 2)
+        top = np.maximum(coeffs.max(axis=(1, 2)), -coeffs.min(axis=(1, 2)))
+        geneig._require_each(np.isfinite(top), InvalidMatrix,
+                             "has non-finite entries")
+        lam_min = np.linalg.eigvalsh(coeffs)[:, 0]
+        geneig._require_each(lam_min >= -symmat.PSD_TOL * (1.0 + top),
+                             NotPositiveSemidefinite, "is not PSD")
+        pencil.support, index = geneig._support(coeffs.any(axis=2))
+        pencil.coeffs, pencil.blocks = coeffs, coeffs[index]
+    return pencil
 
 
 def psi_via_linear_solve(model, x) -> float:
@@ -123,7 +151,7 @@ def einsum_sums_row_major() -> bool:
     for n in (3, 24, 90):
         g = rng.standard_normal((4, n, n))
         stack = g @ g.swapaxes(1, 2)
-        pencil = AffinePencil(np.zeros((n, n)), stack)
+        pencil = dense_pencil(np.zeros((n, n)), stack)
         v = rng.standard_normal(n)
         if quad_einsum(pencil, v).tobytes() != \
                 quad_row_major(pencil, v).tobytes():

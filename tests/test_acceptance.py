@@ -30,7 +30,6 @@ from geneigopt.problems import (
     phi_exact,
     psi_exact,
 )
-from geneigopt.geneig import AffinePencil
 from geneigopt.solvers import (
     SolverOptions,
     bisection_global,
@@ -38,7 +37,7 @@ from geneigopt.solvers import (
     projected_subgradient,
     smoothed_apg,
 )
-from oracles import psi_via_linear_solve
+from oracles import dense_pencil, psi_via_linear_solve
 
 TWO_BAR_EQ = FeasibleSet(l=np.array([1.0, 1.0]), v0=2.0,
                          kind=problems.VOLUME_EQ)
@@ -350,7 +349,7 @@ def test_criterion_07_robust_compliance_equivalence():
         m = int(rng.integers(2, 7))
         coeffs = [np.outer(g, g) for g in rng.standard_normal((m, n))]
         q = rng.standard_normal((n, int(rng.integers(1, 3))))
-        model = PencilModel(k_pencil=AffinePencil(np.zeros((n, n)), coeffs),
+        model = PencilModel(k_pencil=dense_pencil(np.zeros((n, n)), coeffs),
                             q_matrix=q)
         x = rng.uniform(0.0, 2.0, m)
         x[rng.random(m) < 0.35] = 0.0

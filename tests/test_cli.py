@@ -548,6 +548,24 @@ def test_render_to_missing_directory_is_config_error(tmp_path, capsys):
     assert not out_path.parent.exists()
 
 
+def test_render_onto_its_result_is_config_error(tmp_path, capsys):
+    # -o naming the result, directly or through a symlink, would replace
+    # the result by its SVG; the result's bytes stay as they were
+    path = example_config(tmp_path, "single_bar_robust.json")
+    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+    result = tmp_path / "single_bar_robust.result.json"
+    before = result.read_bytes()
+    (tmp_path / "link.json").symlink_to(result)
+    for out_path in (result, tmp_path / "link.json"):
+        capsys.readouterr()
+        assert cli.main(["render", str(result), "-o", str(out_path)]) == \
+            cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.err == "config error: -o: same file as the result\n"
+        assert result.read_bytes() == before
+    assert cli.main(["render", str(result)]) == cli.EXIT_OK
+
+
 def test_solve_ignores_geneig_seed(tmp_path, monkeypatch):
     # no environment variable seeds anything (GENEIG_SEED, which once
     # seeded ``verify``, is read nowhere): a solve is the same bit for bit

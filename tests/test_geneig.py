@@ -44,6 +44,7 @@ from geneigopt.truss import (
     grid_node_index,
 )
 from oracles import (
+    dense_pencil,
     eigenfrequency_model,
     einsum_sums_row_major,
     quad_einsum,
@@ -503,8 +504,8 @@ def test_rayleigh_oracle_rejects_zero_denominator():
 # -------------------------------------------------------------------- pencil
 
 def two_bar_pencils():
-    a = AffinePencil(np.zeros((2, 2)), [np.diag([1.0, 0.0]), np.diag([0.0, 2.0])])
-    b = AffinePencil(np.zeros((2, 2)), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    a = dense_pencil(np.zeros((2, 2)), [np.diag([1.0, 0.0]), np.diag([0.0, 2.0])])
+    b = dense_pencil(np.zeros((2, 2)), [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     return a, b
 
 
@@ -516,40 +517,40 @@ def test_affine_pencil_evaluation():
 
 def test_affine_pencil_rejects_non_psd_coefficients():
     with pytest.raises(NotPositiveSemidefinite):
-        AffinePencil(np.zeros((2, 2)), [np.diag([-1.0, 0.0])])
+        dense_pencil(np.zeros((2, 2)), [np.diag([-1.0, 0.0])])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_affine_pencil_rejects_non_finite_constant(bad):
     with pytest.raises(InvalidMatrix):
-        AffinePencil(np.diag([bad, 1.0]), [np.eye(2)])
+        dense_pencil(np.diag([bad, 1.0]), [np.eye(2)])
     # an overflowing load: Q Q' of entries 1e200 is +inf
     q = np.array([[1e200], [0.0]])
     with np.errstate(over="ignore"), pytest.raises(InvalidMatrix):
-        AffinePencil.constant_pencil(q @ q.T, 2)
+        AffinePencil(q @ q.T, 2)
 
 
 def test_affine_pencil_checks_the_whole_stack():
     rng = np.random.default_rng(5)
     n = 4
     stack = [f @ f.T for f in rng.standard_normal((6, n, 2))]
-    pencil = AffinePencil(np.zeros((n, n)), stack)
+    pencil = dense_pencil(np.zeros((n, n)), stack)
     assert pencil.coeffs.flags.c_contiguous and pencil.coeffs.dtype == float
     assert np.array_equal(pencil.coeffs, [0.5 * (c + c.T) for c in stack])
     # scaled by 1 + max|C_j| per coefficient: an eigenvalue of -1e-5
     # passes on a coefficient of size 1e6, -1e-3 fails next to it
     stack[3] = 1e6 * stack[3] - 1e-5 * np.eye(n)
-    AffinePencil(np.zeros((n, n)), stack)
+    dense_pencil(np.zeros((n, n)), stack)
     for j in (0, 2, 5):
         bad = list(stack)
         bad[j] = stack[j] - 1e-3 * np.eye(n)
         with pytest.raises(NotPositiveSemidefinite, match=f"coefficient {j} "):
-            AffinePencil(np.zeros((n, n)), bad)
+            dense_pencil(np.zeros((n, n)), bad)
     bad = list(stack)
     bad[2] = stack[2].copy()
     bad[2][1, 3] = np.nan
     with pytest.raises(InvalidMatrix, match="coefficient 2 "):
-        AffinePencil(np.zeros((n, n)), bad)
+        dense_pencil(np.zeros((n, n)), bad)
 
 
 def test_dense_constructor_keeps_a_symmetric_stack_above_half_max():
@@ -560,7 +561,7 @@ def test_dense_constructor_keeps_a_symmetric_stack_above_half_max():
     stack *= np.array([1e308, 1.7e308])[:, None, None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pencil = AffinePencil(np.zeros((4, 4)), stack)
+        pencil = dense_pencil(np.zeros((4, 4)), stack)
     assert pencil.coeffs.tobytes() == stack.tobytes()
     # halving is exact outside the subnormal range, so halving first gives
     # the bits of (C + C') * 0.5
@@ -570,7 +571,7 @@ def test_dense_constructor_keeps_a_symmetric_stack_above_half_max():
         + 1e-3 * rng.standard_normal((5, 3, 3))
     want = raw + raw.swapaxes(1, 2)
     want *= 0.5
-    assert AffinePencil(np.zeros((3, 3)), raw).coeffs.tobytes() == want.tobytes()
+    assert dense_pencil(np.zeros((3, 3)), raw).coeffs.tobytes() == want.tobytes()
 
 
 def random_factors(rng, m, n):
@@ -617,8 +618,8 @@ def test_structured_constructors_match_the_dense_constructor(seed):
         a0 = np.diag(rng.uniform(0.0, 1.0, n))
     rank_one = AffinePencil.rank_one(a0, v, w)
     diagonal = AffinePencil.diagonal(a0, d)
-    dense_k = AffinePencil(a0, [wj * np.outer(vj, vj) for vj, wj in zip(v, w)])
-    dense_m = AffinePencil(a0, [np.diag(dj) for dj in d])
+    dense_k = dense_pencil(a0, [wj * np.outer(vj, vj) for vj, wj in zip(v, w)])
+    dense_m = dense_pencil(a0, [np.diag(dj) for dj in d])
     for got, want, factors, block in (
             (rank_one, dense_k, v,
              lambda j, s: np.multiply.outer(v[j, s], v[j, s]) * w[j]),
@@ -704,19 +705,27 @@ def test_rank_one_checks_its_vectors_and_their_product():
 
 
 def test_constant_pencil_has_zero_gradient_terms():
-    p = AffinePencil.constant_pencil(np.eye(3), 5)
+    p = AffinePencil(np.eye(3), 5)
     assert p.nvars == 5
     assert np.allclose(p([1.0, 2.0, 3.0, 4.0, 5.0]), np.eye(3))
+    # a numpy integer counts; a stack (the dense pencil's argument), a
+    # negative or fractional count and a bool do not
+    p = AffinePencil(np.eye(3), np.int64(3))
+    assert p.nvars == 3 and type(p.nvars) is int and p.coeffs is None
+    assert np.array_equal(p(np.ones(3)), np.eye(3))
+    for bad in (np.zeros((2, 3, 3)), [np.eye(3)], -1, 2.5, True):
+        with pytest.raises(ValueError, match="nvars"):
+            AffinePencil(np.eye(3), bad)
 
 
 def test_constant_pencil_matches_dense_zero_coefficients():
     rng = np.random.default_rng(41)
     m, n = 7, 5
     q = rng.standard_normal((n, 1))
-    b = AffinePencil(np.zeros((n, n)),
+    b = dense_pencil(np.zeros((n, n)),
                      [np.outer(g, g) for g in rng.standard_normal((m, n))])
-    const = AffinePencil.constant_pencil(q @ q.T, m)
-    dense = AffinePencil(q @ q.T, np.zeros((m, n, n)))
+    const = AffinePencil(q @ q.T, m)
+    dense = dense_pencil(q @ q.T, np.zeros((m, n, n)))
     for _ in range(5):
         x = rng.uniform(0.1, 2.0, m)
         got = composite_value_grad(const, b, x, 1e-3)
@@ -733,12 +742,12 @@ def test_pencil_evaluation_is_the_tensordot_bit_for_bit(m, n):
     # the subgradient trajectories and the bisection's warm start depend
     # on these bits: the GEMV must sum exactly as tensordot
     rng = np.random.default_rng(10 * m + n)
-    a = AffinePencil(np.diag(rng.uniform(0.0, 1.0, n)),
+    a = dense_pencil(np.diag(rng.uniform(0.0, 1.0, n)),
                      [f @ f.T for f in rng.standard_normal((m, n, 2))])
-    b = AffinePencil(np.zeros((n, n)),
+    b = dense_pencil(np.zeros((n, n)),
                      [np.outer(g, g) for g in rng.standard_normal((m, n))])
     q = rng.standard_normal((n, 1))
-    const = AffinePencil.constant_pencil(q @ q.T, m)
+    const = AffinePencil(q @ q.T, m)
     for pencil in (a, b, a.level(b, 2.5, 1e-3), const):
         coeffs = np.zeros((m, n, n)) if pencil.coeffs is None \
             else pencil.coeffs
@@ -751,12 +760,12 @@ def test_pencil_evaluation_is_the_tensordot_bit_for_bit(m, n):
 def test_level_pencil_and_scale():
     rng = np.random.default_rng(43)
     m, n, eps, alpha = 6, 4, 1e-3, 2.5
-    a = AffinePencil(np.diag(rng.uniform(0.0, 1.0, n)),
+    a = dense_pencil(np.diag(rng.uniform(0.0, 1.0, n)),
                      [f @ f.T for f in rng.standard_normal((m, n, 2))])
-    b = AffinePencil(np.zeros((n, n)),
+    b = dense_pencil(np.zeros((n, n)),
                      [np.outer(g, g) for g in rng.standard_normal((m, n))])
     q = rng.standard_normal((n, 1))
-    const = AffinePencil.constant_pencil(q @ q.T, m)
+    const = AffinePencil(q @ q.T, m)
     for num in (a, const):
         level = num.level(b, alpha, eps)
         assert level.nvars == m
@@ -777,13 +786,13 @@ def test_level_pencil_and_scale():
 
 def _quad_pencils(rng, m, n):
     """Dense, diagonal, level and constant pencils with m coefficients."""
-    dense = AffinePencil(np.diag(rng.uniform(0.0, 1.0, n)),
+    dense = dense_pencil(np.diag(rng.uniform(0.0, 1.0, n)),
                          [f @ f.T for f in rng.standard_normal((m, n, 2))])
-    diag = AffinePencil(np.zeros((n, n)),
+    diag = dense_pencil(np.zeros((n, n)),
                         [np.diag(d) for d in rng.uniform(0.0, 1.0, (m, n))])
     q = rng.standard_normal((n, 1))
     return (dense, diag, dense.level(diag, 2.5, 1e-3),
-            AffinePencil.constant_pencil(q @ q.T, m))
+            AffinePencil(q @ q.T, m))
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (7, 3), (40, 12)])
@@ -816,13 +825,31 @@ def _truss_pencils(case):
     return model.k_pencil, model.m_pencil
 
 
+@pytest.mark.parametrize("case", [*BENCH_MODELS, "grid_9x5"])
+def test_scale_reads_the_blocks(case):
+    # every nonzero of C_j lies in its block, so max|blocks| is max|coeffs|,
+    # read with no temporary the size of the stack (32 MB at 9x5)
+    k, m = _truss_pencils(case)
+    for pencil in (k, m, m.level(k, 2.5, 1e-3)):
+        for eps in (0.0, 1e-3):
+            tracemalloc.start()
+            try:
+                got = pencil.scale(eps)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            top = float(np.max(np.abs(pencil.constant + eps * np.eye(k.dim))))
+            assert got == top + float(np.max(np.abs(pencil.coeffs)))
+            assert peak < 1_000_000
+
+
 def _degenerate_pencils(rng, m=6, n=5):
     """A zero-weight bar, an all-zero diagonal row, an all-zero stack."""
     v, w, d = random_factors(rng, m, n)
     w[2], d[3] = 0.0, 0.0
     return (AffinePencil.rank_one(np.zeros((n, n)), v, w),
             AffinePencil.diagonal(np.zeros((n, n)), d),
-            AffinePencil(np.zeros((n, n)), np.zeros((m, n, n))))
+            dense_pencil(np.zeros((n, n)), np.zeros((m, n, n))))
 
 
 def _quad_vectors(rng, n, count):
@@ -1028,7 +1055,7 @@ def test_composite_value_grad_closed_form():
 
 
 def test_composite_value_grad_zero_numerator():
-    a = AffinePencil.constant_pencil(np.zeros((2, 2)), 2)
+    a = AffinePencil(np.zeros((2, 2)), 2)
     _, b = two_bar_pencils()
     value, grad, _ = composite_value_grad(a, b, [1.0, 1.0], 0.1)
     assert value == 0.0
@@ -1090,8 +1117,8 @@ def test_composite_grad_matches_finite_differences():
         coeffs_a = [np.outer(g, g) for g in rng.standard_normal((m, n))]
         coeffs_b = [np.outer(g, g) + 0.1 * np.eye(n)
                     for g in rng.standard_normal((m, n))]
-        a = AffinePencil(np.zeros((n, n)), coeffs_a)
-        b = AffinePencil(np.zeros((n, n)), coeffs_b)
+        a = dense_pencil(np.zeros((n, n)), coeffs_a)
+        b = dense_pencil(np.zeros((n, n)), coeffs_b)
         x = rng.uniform(0.5, 2.0, m)
         eps = float(rng.uniform(0.05, 0.5))
         value, grad, _ = composite_value_grad(a, b, x, eps)
@@ -1114,8 +1141,8 @@ def test_composite_grad_matches_finite_differences():
 # ------------------------------------------------------------------ smoothing
 
 def test_smoothed_single_eigenvalue_is_exact():
-    a = AffinePencil(np.zeros((1, 1)), [np.ones((1, 1))])
-    b = AffinePencil(np.zeros((1, 1)), [np.ones((1, 1))])
+    a = dense_pencil(np.zeros((1, 1)), [np.ones((1, 1))])
+    b = dense_pencil(np.zeros((1, 1)), [np.ones((1, 1))])
     value, _ = smoothed_value_grad(a, b, [2.0], 0.5, 0.3)
     exact, _, _ = composite_value_grad(a, b, [2.0], 0.5)
     assert abs(value - exact) < 1e-12
@@ -1123,8 +1150,8 @@ def test_smoothed_single_eigenvalue_is_exact():
 
 def test_smoothed_log_sum_exp_value():
     # eigenvalues (0, 1) at mu = 1 give log(1 + e)
-    a = AffinePencil(np.zeros((2, 2)), [np.diag([0.0, 1.0])])
-    b = AffinePencil(np.zeros((2, 2)), [np.eye(2)])
+    a = dense_pencil(np.zeros((2, 2)), [np.diag([0.0, 1.0])])
+    b = dense_pencil(np.zeros((2, 2)), [np.eye(2)])
     value, _ = smoothed_value_grad(a, b, [1.0], 1e-12, 1.0)
     assert abs(value - math.log(1.0 + math.e)) < 1e-6
 
@@ -1160,9 +1187,9 @@ def test_smoothed_grad_matches_three_operand_oracle():
     for _ in range(20):
         m, n = int(rng.integers(1, 8)), int(rng.integers(2, 9))
         mass = rng.standard_normal((n, n))
-        a = AffinePencil(mass @ mass.T,
+        a = dense_pencil(mass @ mass.T,
                          [np.diag(d) for d in rng.uniform(0, 1, (m, n))])
-        b = AffinePencil(np.zeros((n, n)),
+        b = dense_pencil(np.zeros((n, n)),
                          [np.outer(g, g) for g in rng.standard_normal((m, n))])
         x = rng.uniform(0.1, 2.0, m)
         eps, mu = 1e-2, float(rng.uniform(0.01, 1.0))

@@ -32,6 +32,7 @@ from geneigopt.solvers import (
     smoothed_apg,
 )
 from oracles import (
+    dense_pencil,
     einsum_sums_row_major,
     project_feasible_reference,
     quad_einsum,
@@ -297,8 +298,8 @@ def test_apg_agrees_with_subgradient_on_two_bar():
 
 
 def test_apg_single_bar_is_trivial():
-    k = AffinePencil(np.zeros((1, 1)), [np.ones((1, 1))])
-    m = AffinePencil(np.zeros((1, 1)), [2.0 * np.ones((1, 1))])
+    k = dense_pencil(np.zeros((1, 1)), [np.ones((1, 1))])
+    m = dense_pencil(np.zeros((1, 1)), [2.0 * np.ones((1, 1))])
     model = PencilModel(k_pencil=k, m_pencil=m, volumes=np.array([1.0]))
     fs = FeasibleSet(l=np.array([2.0]), v0=3.0, kind=problems.VOLUME_EQ)
     rep = smoothed_apg(ProblemSpec(EIGENFREQUENCY, model, fs, eps=0.1),
@@ -375,7 +376,7 @@ def test_bisection_ends_when_the_tolerance_is_below_one_ulp():
 def test_bisection_zero_level_shortcut():
     # a zero numerator makes level 0 immediately feasible
     model = PencilModel(
-        k_pencil=AffinePencil(np.zeros((2, 2)),
+        k_pencil=dense_pencil(np.zeros((2, 2)),
                               [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
         q_matrix=np.zeros((2, 1)))
     spec = ProblemSpec(ROBUST_COMPLIANCE, model, TWO_BAR_LE, eps=0.0)
@@ -386,9 +387,9 @@ def test_bisection_zero_level_shortcut():
 def test_bisection_unbounded_objective_raises():
     # mass with no stiffness anywhere: every level is infeasible
     model = PencilModel(
-        k_pencil=AffinePencil(np.zeros((2, 2)),
+        k_pencil=dense_pencil(np.zeros((2, 2)),
                               [np.zeros((2, 2)), np.zeros((2, 2))]),
-        m_pencil=AffinePencil(np.eye(2), [np.zeros((2, 2)), np.zeros((2, 2))]),
+        m_pencil=dense_pencil(np.eye(2), [np.zeros((2, 2)), np.zeros((2, 2))]),
         volumes=np.array([1.0, 1.0]))
     spec = ProblemSpec(EIGENFREQUENCY, model, TWO_BAR_EQ, eps=0.0)
     with pytest.raises(BracketError):
@@ -397,9 +398,9 @@ def test_bisection_unbounded_objective_raises():
 
 def _random_level_pencil(rng, m, n, alpha=0.3, eps=1e-3):
     """A random level pencil A - alpha*(B + eps*I) (coefficients not PSD)."""
-    a = AffinePencil(np.diag(rng.uniform(0.0, 1.0, n)),
+    a = dense_pencil(np.diag(rng.uniform(0.0, 1.0, n)),
                      [f @ f.T for f in rng.standard_normal((m, n, 2))])
-    b = AffinePencil(np.zeros((n, n)),
+    b = dense_pencil(np.zeros((n, n)),
                      [np.outer(g, g) for g in rng.standard_normal((m, n))])
     return a.level(b, alpha, eps)
 
@@ -434,7 +435,7 @@ def test_sublevel_search_on_a_coefficient_free_level_pencil():
     rng = np.random.default_rng(3)
     m, n, eps = 5, 4, 1e-3
     q = rng.standard_normal((n, 1))
-    const = AffinePencil.constant_pencil(q @ q.T, m)
+    const = AffinePencil(q @ q.T, m)
     fs = FeasibleSet(l=np.ones(m), v0=float(m), kind=problems.VOLUME_LE)
     x0 = rng.uniform(0.0, 2.0, m)
     for alpha, feasible in ((0.5, False), (2.0, True)):

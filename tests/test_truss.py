@@ -20,7 +20,7 @@ from geneigopt.truss import (
     generate_ground_structure,
     grid_node_index,
 )
-from oracles import eigenfrequency_model
+from oracles import dense_pencil, eigenfrequency_model
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -183,7 +183,7 @@ def assert_reads_equal(pencil, dense, designs):
 
 def assert_equals_dense(pencil, constant, coefficient, m, chunk=128,
                         designs=0):
-    """``pencil`` equals the dense ``AffinePencil(constant, [coefficient(j)
+    """``pencil`` equals the oracle ``dense_pencil(constant, [coefficient(j)
     for j < m])``, built a chunk at a time to bound an 11x6 grid's memory.
     With ``designs``, the whole dense pencil is built, read against
     ``pencil`` by ``assert_reads_equal`` and returned."""
@@ -201,18 +201,18 @@ def assert_equals_dense(pencil, constant, coefficient, m, chunk=128,
     assert pencil.blocks.tobytes() == gathered.tobytes()
     for lo in range(0, m, chunk):
         js = range(lo, min(lo + chunk, m))
-        dense = AffinePencil(constant, [coefficient(j) for j in js])
+        dense = dense_pencil(constant, [coefficient(j) for j in js])
         assert dense.coeffs.dtype == float and dense.coeffs.flags.c_contiguous
         assert np.array_equal(pencil.constant, dense.constant)
         assert np.array_equal(pencil.coeffs[js.start:js.stop], dense.coeffs)
     if designs:
-        dense = AffinePencil(constant, [coefficient(j) for j in range(m)])
+        dense = dense_pencil(constant, [coefficient(j) for j in range(m)])
         assert_reads_equal(pencil, dense, designs)
         return dense
 
 
 def assert_structured_equals_dense(model, args, designs=0):
-    """Each truss pencil equals the dense constructor's pencil of the
+    """Each truss pencil equals the oracle ``dense_pencil`` of the
     factors ``build_with_factors`` saw, w_j * outer(g_j, g_j) and
     diag(d_j); with ``designs``, returns the dense (K, M) read against
     them."""
