@@ -139,7 +139,7 @@ def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # not JSON, or not even UTF-8
         raise ConfigError(f"cannot read {what} {path}: {exc}")
 
 
@@ -314,17 +314,20 @@ def _output_paths(cfg: dict, config_path: str) -> dict:
 
 def _write_result(record: dict, runs, paths: dict):
     """Write the result, the history of each (report, eps) run and the SVG."""
-    with open(paths["result"], "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    with open(paths["history"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "objective", "eps"])
-        for rep, eps in runs:
-            for it, obj in rep.history:
-                writer.writerow([it, repr(obj), eps])
-    if "svg" in paths:
-        render_svg(record, paths["svg"])
+    try:
+        with open(paths["result"], "w") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
+        with open(paths["history"], "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iter", "objective", "eps"])
+            for rep, eps in runs:
+                for it, obj in rep.history:
+                    writer.writerow([it, repr(obj), eps])
+        if "svg" in paths:
+            render_svg(record, paths["svg"])
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}")
 
 
 def render_svg(result: dict, out_path: str,
@@ -457,10 +460,19 @@ def main(argv=None) -> int:
             _require_output_path(out, "-o")
             if os.path.realpath(out) == os.path.realpath(args.result):
                 raise ConfigError("-o: same file as the result", field="-o")
+            if os.path.isfile(out):  # a FIFO or a device is never read
+                try:
+                    _read_json(out, "-o")
+                except ConfigError:
+                    pass  # not JSON: an earlier SVG, say, is replaced
+                else:
+                    raise ConfigError(f"-o: {out} is JSON, not an SVG", "-o")
             try:
                 render_svg(result, out, args.threshold)
             except (KeyError, TypeError, IndexError, ValueError) as exc:
                 raise ConfigError(f"{args.result} is not a result: {exc!r}")
+            except OSError as exc:
+                raise ConfigError(f"cannot write output: {exc}")
             print(f"wrote {out}")
             return EXIT_OK
         if args.command == "verify":

@@ -284,36 +284,18 @@ def rayleigh_sup_oracle(x, y, samples: int, seed: int) -> float:
     return float(np.max(num[keep] / den[keep], initial=0.0))
 
 
-_SYEVR_WORK: dict[int, tuple[int, int]] = {}  # dsyevr's (lwork, liwork) by n
-
-
-def _lapack_eigh(a: np.ndarray, b: np.ndarray | None = None):
-    """The LAPACK driver ``scipy.linalg.eigh`` picks, called without its
-    wrapper's checks, so with its bits: A's top pair alone by dsyevr (as for
-    ``subset_by_index=[n-1, n-1]``), or all pairs of (A, B) by dsygvd.  A B
-    not positive definite is ``SingularDenominator``, any other failure
-    ``InvalidMatrix``."""
-    n = a.shape[0]
-    if b is None:
-        if n not in _SYEVR_WORK:  # above n = 32 lwork sets the bits: ask as eigh
-            work, iwork, _ = lapack.dsyevr_lwork(n, lower=1)
-            _SYEVR_WORK[n] = int(work), int(iwork)
-        lwork, liwork = _SYEVR_WORK[n]
-        w, v, _, _, info = lapack.dsyevr(a, range="I", il=n, iu=n, lower=1,
-                                         lwork=lwork, liwork=liwork)
-        w = w[:1]
-    else:
-        w, v, info = lapack.dsygvd(a, b, itype=1, jobz="V", uplo="L")
-    if info:  # dsygvd: info > n when the Cholesky factorization of B fails
-        if b is not None and info > n:
-            raise SingularDenominator("B(x) + eps*I is not positive definite")
-        routine = "dsyevr" if b is None else "dsygvd"
-        raise InvalidMatrix(f"LAPACK {routine} failed with info = {info}")
-    return w, v
+def _top_pair(c: np.ndarray):
+    """C's top eigenpair alone by LAPACK's dsyevr, as ``scipy.linalg.eigh``
+    calls it for ``subset_by_index=[n-1, n-1]``: bisection's level test."""
+    n = c.shape[0]
+    w, v, _, _, info = lapack.dsyevr(c, range="I", il=n, iu=n, lower=1)
+    if info:
+        raise InvalidMatrix(f"LAPACK dsyevr failed with info = {info}")
+    return w[:1], v
 
 
 def _pencil_eigh(pa: AffinePencil, pb: AffinePencil, x, eps: float):
-    """All eigenpairs (ascending) of (A(x), B(x) + eps*I) by ``_lapack_eigh``:
+    """All eigenpairs (ascending) of (A(x), B(x) + eps*I) by LAPACK's dsygvd:
     every pencil evaluation's one eigensolve, and the one check of its
     domain, x finite and nonnegative (``OutOfDomain``), eps finite and
     nonnegative (``InvalidEpsilon``), A(x) and B(x) + eps*I finite
@@ -327,7 +309,12 @@ def _pencil_eigh(pa: AffinePencil, pb: AffinePencil, x, eps: float):
         a, b = pa(x), pb(x) + eps * np.eye(pa.dim)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidMatrix("A(x) or B(x) overflows at this design vector")
-    return _lapack_eigh(a, b)
+    w, v, info = lapack.dsygvd(a, b, itype=1, jobz="V", uplo="L")
+    if info > pa.dim:  # the Cholesky factorization of B(x) + eps*I failed
+        raise SingularDenominator("B(x) + eps*I is not positive definite")
+    if info:
+        raise InvalidMatrix(f"LAPACK dsygvd failed with info = {info}")
+    return w, v
 
 
 def _log_sum_exp(w: np.ndarray, mu: float):

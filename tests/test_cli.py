@@ -566,6 +566,65 @@ def test_render_onto_its_result_is_config_error(tmp_path, capsys):
     assert cli.main(["render", str(result)]) == cli.EXIT_OK
 
 
+def test_render_onto_a_config_is_config_error(tmp_path, capsys):
+    # render writes only SVG: an -o that is an existing file holding JSON
+    # (the run's config, or any other config or result) stays as it was
+    path = example_config(tmp_path, "single_bar_robust.json")
+    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+    result = tmp_path / "single_bar_robust.result.json"
+    before = path.read_bytes()
+    capsys.readouterr()
+    assert cli.main(["render", str(result), "-o", str(path)]) == \
+        cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert out.err == f"config error: -o: {path} is JSON, not an SVG\n"
+    assert path.read_bytes() == before
+    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+    # an earlier SVG, or any file that is not JSON (not even UTF-8), is
+    # replaced
+    svg = tmp_path / "design.svg"
+    for old in (b"", b"<svg/>", b"not json", b"\xd0\xff"):
+        svg.write_bytes(old)
+        assert cli.main(["render", str(result), "-o", str(svg)]) == cli.EXIT_OK
+        assert ET.parse(svg).getroot().tag.endswith("svg")
+
+
+def _assert_write_error(capsys, name):
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert out.err.startswith("config error: cannot write output: ")
+    assert "File name too long" in out.err and name in out.err
+    assert out.err.count("\n") == 1
+
+
+def test_unwritable_result_is_config_error(tmp_path, capsys):
+    # the path passes the checks made before the solve; the OS refuses it
+    name = str(tmp_path / ("b" * 300 + ".json"))
+    path, _ = single_bar_config(tmp_path, output={"result": name})
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    _assert_write_error(capsys, name)
+
+
+def test_unwritable_render_output_is_config_error(tmp_path, capsys):
+    path, _ = two_bar_grid_config(tmp_path)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    name = str(tmp_path / ("a" * 300 + ".svg"))
+    assert cli.main(["render", str(tmp_path / "grid.result.json"),
+                     "-o", name]) == cli.EXIT_CONFIG
+    _assert_write_error(capsys, name)
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"problem": "\xd0\xff"}')
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert out.err.startswith(f"config error: cannot read config {path}: ")
+    assert out.err.count("\n") == 1
+
+
 def test_solve_ignores_geneig_seed(tmp_path, monkeypatch):
     # no environment variable seeds anything (GENEIG_SEED, which once
     # seeded ``verify``, is read nowhere): a solve is the same bit for bit

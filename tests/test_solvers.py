@@ -590,10 +590,10 @@ def test_apg_solves_each_design_point_once(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    # the pencil solves go to LAPACK through geneig._lapack_eigh; the
+    # the pencil solves go to LAPACK's dsygvd in geneig._pencil_eigh; the
     # report's exact objective (lambda_max_ext) through scipy.linalg.eigh
-    monkeypatch.setattr(geneig, "_lapack_eigh",
-                        counted("eigh", geneig._lapack_eigh))
+    monkeypatch.setattr(geneig.lapack, "dsygvd",
+                        counted("eigh", geneig.lapack.dsygvd))
     monkeypatch.setattr(scipy.linalg, "eigh",
                         counted("eigh", scipy.linalg.eigh))
     lse = counted("lse", geneig._log_sum_exp)
