@@ -55,19 +55,17 @@ class GenEigResult:
 class AffinePencil:
     """Affine symmetric-matrix-valued map x -> A0 + sum_j x_j * A_j.
 
-    ``AffinePencil(constant, nvars)`` is the constant pencil (all nvars
-    coefficients zero, e.g. the QQ' term of robust compliance); the constant
-    need only be finite, so that shifted pencils used in bisection can reuse
-    the evaluation path.  Coefficients come from ``rank_one`` and
-    ``diagonal``, which check their factors PSD and scatter blocks built
-    from them (O(nvars * w^2)) into one zeroed stack, or from ``level``.
-    ``coeffs`` is the ``(nvars, n, n)`` stack or None (all zero);
-    ``pencil(x)`` and ``quad(Z)`` are each one GEMV on its n*n-wide rows;
-    ``quad(v)`` reads ``blocks``, C_j on its nonzero rows ``support[j]``
-    (ascending, padded with other rows to the widest w).
+    ``AffinePencil(constant, nvars)`` is the constant pencil (e.g. the QQ'
+    term of robust compliance), its constant finite.  ``rank_one``,
+    ``diagonal`` and ``level`` set the blocks C_j[s, s] = ``blocks[j]`` on
+    s = ``support[j]``, C_j's nonzero rows ascending, padded to the widest
+    w.  ``pencil(x)`` forms no (nvars, n, n) stack: an entry one C_j alone
+    touches is x_j * C_j[a, b] + 0.0, the others (a truss node's 2 x 2
+    block) come from one zero-padded GEMV over their columns, with the
+    bits of the stack GEMV A0 + x @ C where n*n % 4 == 0 (see README).
     """
 
-    __slots__ = ("constant", "coeffs", "nvars", "support", "blocks")
+    __slots__ = ("constant", "nvars", "support", "blocks", "_index")
 
     def __init__(self, constant, nvars: int):
         a0 = as_symmetric(constant)
@@ -78,15 +76,33 @@ class AffinePencil:
                 or nvars < 0:
             raise ValueError(f"nvars must be an integer >= 0, got {nvars!r}")
         self.constant, self.nvars = a0, int(nvars)
-        self.coeffs = self.support = self.blocks = None
+        self.support = self.blocks = self._index = None
 
-    def _scatter(self, factors, block):
-        """Set the support off the factors' nonzeros, the blocks ``block(f)``
-        of the factors f on it, and the zeroed stack they scatter into."""
-        self.support, index = _support(factors != 0)
-        self.blocks = block(np.take_along_axis(factors, self.support, axis=1))
-        self.coeffs = np.zeros((len(factors), self.dim, self.dim))
-        self.coeffs[index] = self.blocks
+    def _hold(self, factors, block):
+        """Hold ``block(s, f)``, f the ``factors`` on the support s read off
+        their nonzeros, coefficient-fastest, and ``__call__``'s index."""
+        n, width = self.dim, max(1, int(np.count_nonzero(factors, 1).max()))
+        s = np.argsort(factors == 0, axis=1, kind="stable")[:, :width]
+        f = np.take_along_axis(factors, s, axis=1)
+        self.support = np.ascontiguousarray(s.T).T
+        self.blocks = blocks = np.ascontiguousarray(
+            block(s, f).transpose(1, 2, 0)).transpose(2, 0, 1)
+        j, a, b = np.nonzero((s[:, :, None] >= s[:, None, :]) & (blocks != 0))
+        entry, value = s[j, a] * n + s[j, b], blocks[j, a, b]
+        count = np.bincount(entry, minlength=n * n)
+        alone, shared = count[entry] == 1, np.flatnonzero(count > 1)
+        gemv = np.zeros((self.nvars, -(-len(shared) // 8) * 8))
+        gemv[j[~alone], np.searchsorted(shared, entry[~alone])] = value[~alone]
+        lower = np.concatenate((entry[alone], shared))
+        self._index = (j[alone], value[alone], gemv,
+                       np.stack((lower, lower % n * n + lower // n)))
+
+    def _blocks_on(self, support):
+        """C_j[s, s] on s = ``support[j]`` by one-hot sums (0.0 if none)."""
+        if self.blocks is None:
+            return 0.0
+        at = support[:, :, None] == self.support[:, None, :]
+        return np.einsum("jac,jcd,jbd->jab", at, self.blocks, at)
 
     @staticmethod
     def rank_one(constant, vectors, weights) -> "AffinePencil":
@@ -103,8 +119,8 @@ class AffinePencil:
         _require_each(np.isfinite(top), InvalidMatrix, "has non-finite entries")
         _require_each(w >= 0, NotPositiveSemidefinite, "is not PSD")
         if len(w):
-            pencil._scatter(v, lambda f: (f[:, :, None] * f[:, None, :])
-                            * w[:, None, None])
+            pencil._hold(v, lambda s, f: (f[:, :, None] * f[:, None, :])
+                         * w[:, None, None])
         return pencil
 
     @staticmethod
@@ -120,7 +136,7 @@ class AffinePencil:
         _require_each((d >= 0).all(axis=1), NotPositiveSemidefinite,
                       "is not PSD")
         if len(d):  # diag(f), +0.0 off the diagonal
-            pencil._scatter(d, lambda f: np.where(
+            pencil._hold(d, lambda s, f: np.where(
                 np.eye(f.shape[1], dtype=bool), f[:, :, None], 0.0))
         return pencil
 
@@ -131,52 +147,59 @@ class AffinePencil:
     def scale(self, eps: float = 0.0) -> float:
         """max|A0 + eps*I| + max_j max|A_j|, the entry size of the pencil."""
         top = float(np.max(np.abs(self.constant + eps * np.eye(self.dim))))
-        if self.coeffs is None:
-            return top
-        return top + float(np.max(np.abs(self.blocks)))  # every nonzero
+        return top if self.blocks is None else \
+            top + float(np.max(np.abs(self.blocks)))  # every nonzero
 
     def level(self, other: "AffinePencil", alpha: float,
               eps: float) -> "AffinePencil":
         """The pencil x -> A(x) - alpha * (B(x) + eps*I) for A = self and
-        B = other: bisection's level test (its coefficients are not PSD)."""
+        B = other: bisection's level test (its coefficients are not PSD),
+        with blocks A_j - alpha * B_j on the union of the two supports."""
         pencil = AffinePencil(
             self.constant - alpha * (other.constant + eps * np.eye(self.dim)),
             self.nvars)
-        if self.coeffs is not None or other.coeffs is not None:
-            a, b = (0.0 if p.coeffs is None else p.coeffs for p in (self, other))
-            coeffs = a - alpha * b  # support off its nonzero rows
-            pencil.support, index = _support(coeffs.any(axis=2))
-            pencil.coeffs, pencil.blocks = coeffs, coeffs[index]
+        held = [p for p in (self, other) if p.blocks is not None]
+        if held:
+            rows = np.zeros((self.nvars, self.dim), dtype=bool)
+            for p in held:
+                rows[np.arange(self.nvars)[:, None], p.support] |= \
+                    p.blocks.any(axis=2)
+            pencil._hold(rows, lambda s, _: self._blocks_on(s)
+                         - alpha * other._blocks_on(s))
         return pencil
 
     def __call__(self, x) -> np.ndarray:
-        if self.coeffs is None:
+        if self.blocks is None:
             return self.constant.copy()
-        x = np.asarray(x, dtype=float) @ self.coeffs.reshape(self.nvars, -1)
-        return self.constant + x.reshape(self.constant.shape)
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.nvars,):
+            raise ValueError(f"x needs shape ({self.nvars},), got {x.shape}")
+        j, c, gemv, targets = self._index
+        values = np.concatenate((x[j] * c + 0.0, x @ gemv))[:targets.shape[1]]
+        flat = np.zeros(self.dim * self.dim)
+        flat[targets] = values  # both triangles
+        return self.constant + flat.reshape(self.constant.shape)
 
     def quad(self, z: np.ndarray) -> np.ndarray:
-        """<C_j, Z> per coefficient C_j: one GEMV for an n x n matrix Z (for
-        an eigenprojector Z, a spectral gradient); v'C_j v for a vector v:
-        C_j's block's terms (v_a C_j[a, b]) v_b, added one by one from +0.0
-        as ``einsum("j,mjk,k->m")`` adds all n*n (the rest are zeros)."""
+        """<C_j, Z> per coefficient C_j over its block for an n x n Z; for a
+        vector v, v'C_j v: the block's terms (v_a C_j[a, b]) v_b, added in
+        turn as ``einsum("j,mjk,k->m")`` adds all n*n (the rest are 0)."""
         if z.shape not in ((self.dim,), (self.dim, self.dim)):
             raise ValueError(f"quad needs shape (n,) or (n, n), got {z.shape}")
-        if self.coeffs is None:
+        if self.blocks is None:
             return np.zeros(self.nvars)
-        if z.ndim == 1:  # cumsum starts at the first term: + 0.0 for -0.0
-            zs = z[self.support]
-            terms = (zs[:, :, None] * self.blocks) * zs[:, None, :]
-            return np.cumsum(terms.reshape(self.nvars, -1), axis=1)[:, -1] + 0.0
-        return self.coeffs.reshape(self.nvars, -1) @ z.ravel()
+        s, blocks = self.support.T, self.blocks.transpose(1, 2, 0)
+        terms = ((z[s][:, None] * blocks) * z[s][None] if z.ndim == 1
+                 else z[s[:, None], s[None]] * blocks).reshape(-1, self.nvars)
+        # numpy sums a lone (w*w, 1) column pairwise: cumsum adds in turn
+        return (terms.sum(0) if self.nvars > 1 else np.cumsum(terms)[-1:]) + 0.0
 
-
-def _support(nonzero: np.ndarray):
-    """Support s, each row's True columns ascending, padded with its others
-    to the widest (at least 1); and the stack index [j, s[j, a], s[j, b]]."""
-    width = max(1, int(nonzero.sum(axis=1).max()))
-    s = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
-    return s, (np.arange(len(s))[:, None, None], s[:, :, None], s[:, None, :])
+    def _quad_columns(self, v: np.ndarray) -> np.ndarray:
+        """(v_i'C_j v_i)_{j, i} for the columns v_i of an n x k matrix v."""
+        if self.blocks is None:
+            return np.zeros((self.nvars, v.shape[1]))
+        vs = v[self.support]
+        return np.einsum("jak,jab,jbk->jk", vs, self.blocks, vs)
 
 
 def _require_each(ok: np.ndarray, error: type, what: str):
@@ -296,10 +319,8 @@ def _top_pair(c: np.ndarray):
 
 def _pencil_eigh(pa: AffinePencil, pb: AffinePencil, x, eps: float):
     """All eigenpairs (ascending) of (A(x), B(x) + eps*I) by LAPACK's dsygvd:
-    every pencil evaluation's one eigensolve, and the one check of its
-    domain, x finite and nonnegative (``OutOfDomain``), eps finite and
-    nonnegative (``InvalidEpsilon``), A(x) and B(x) + eps*I finite
-    (``InvalidMatrix``).  eps = 0 needs B(x) positive definite."""
+    every pencil evaluation's one eigensolve and one domain check (x >= 0,
+    eps >= 0, each finite).  eps = 0 needs B(x) positive definite."""
     x = np.asarray(x, dtype=float)
     if not np.all((0 <= x) & (x < math.inf)):
         raise OutOfDomain("design vector must be finite and nonnegative")
@@ -309,7 +330,8 @@ def _pencil_eigh(pa: AffinePencil, pb: AffinePencil, x, eps: float):
         a, b = pa(x), pb(x) + eps * np.eye(pa.dim)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidMatrix("A(x) or B(x) overflows at this design vector")
-    w, v, info = lapack.dsygvd(a, b, itype=1, jobz="V", uplo="L")
+    # a.T, b.T: the same symmetric numbers, Fortran-ordered for the wrapper
+    w, v, info = lapack.dsygvd(a.T, b.T, itype=1, jobz="V", uplo="L")
     if info > pa.dim:  # the Cholesky factorization of B(x) + eps*I failed
         raise SingularDenominator("B(x) + eps*I is not positive definite")
     if info:
@@ -337,8 +359,7 @@ def composite_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float):
     w, vecs = _pencil_eigh(pa, pb, x, eps)
     value = max(float(w[-1]), 0.0)
     v = vecs[:, -1]
-    grad = pa.quad(v) - value * pb.quad(v)
-    return value, grad, v
+    return value, pa.quad(v) - value * pb.quad(v), v
 
 
 def smoothed_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float,
@@ -346,13 +367,13 @@ def smoothed_value_grad(pa: AffinePencil, pb: AffinePencil, x, eps: float,
     """Log-sum-exp smoothing of the regularized maximum generalized eigenvalue.
 
     f_mu(x) = mu * log sum_i exp(lambda_i / mu) over all n generalized
-    eigenvalues of (A(x), B(x) + eps*I), with the matching softmax-weighted
-    gradient.  Satisfies lmax <= f_mu <= lmax + mu * log(n).  eps >= 0 as
-    for ``composite_value_grad``; mu > 0.
+    eigenvalues of (A(x), B(x) + eps*I), with the softmax-weighted gradient
+    summed per eigenpair (see README).  Satisfies lmax <= f_mu <= lmax +
+    mu * log(n).  eps >= 0 as for ``composite_value_grad``; mu > 0.
     """
     _require_positive(mu, "mu", InvalidSmoothing)
     w, vecs = _pencil_eigh(pa, pb, x, eps)
     value, sigma = _log_sum_exp(w, mu)
-    grad = pa.quad((vecs * sigma) @ vecs.T) \
-        - pb.quad((vecs * (sigma * w)) @ vecs.T)
-    return value, grad
+    on = sigma > 0  # an eigenpair of weight 0.0 adds nothing
+    vecs, w, sigma = vecs[:, on], w[on], sigma[on]
+    return value, (pa._quad_columns(vecs) - pb._quad_columns(vecs) * w) @ sigma

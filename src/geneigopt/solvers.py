@@ -258,11 +258,9 @@ def smoothed_apg(spec: ProblemSpec, x0=None,
 
 def _sublevel_feasible(pencil: AffinePencil, fs: FeasibleSet,
                        x_start: np.ndarray, slack: float, max_iters: int):
-    """Search the feasible set for x with lmax(C(x)) <= slack, C = pencil.
-
-    Polyak steps on h(x) = lmax(C(x)), each one GEMV for C(x), dsyevr's top
-    pair (h, v) alone and one GEMV for v'C_j v.  Returns (found, x, best_h).
-    """
+    """Search the feasible set for x with lmax(C(x)) <= slack, C = pencil:
+    Polyak steps on h(x) = lmax(C(x)) with dsyevr's top pair (h, v) alone
+    and the subgradient v'C_j v.  Returns (found, x, best_h)."""
     x = project_feasible(x_start, fs)
     best_h = math.inf
     best_x = x.copy()
@@ -280,7 +278,7 @@ def _sublevel_feasible(pencil: AffinePencil, fs: FeasibleSet,
             return True, x, h
         if since_improve > 300:
             break
-        g = pencil.quad(vecs @ vecs.T)
+        g = pencil.quad(vecs[:, 0])
         gnorm2 = float(g @ g)
         if gnorm2 <= 1e-30:
             break

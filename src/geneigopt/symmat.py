@@ -4,8 +4,6 @@ Positive-semidefiniteness tests and kernel bases at two fixed relative
 thresholds, ``PSD_TOL`` and ``KERNEL_TOL``, each scaled by ``1 + max|entry|``
 of the matrix under test so that decisions are invariant under rescaling of
 the problem data.  Everything here is a pure function of its inputs.
-``is_psd`` is one Cholesky factorization, ``kernel_basis`` one eigensolve for
-the kernel's eigenpairs alone, and ``range_basis`` its ``kernel_complement``.
 """
 
 from __future__ import annotations

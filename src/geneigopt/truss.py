@@ -94,13 +94,12 @@ def build_model(gs: GroundStructure, mat: Material, load_node: int,
     Row j of G holds bar j's direction vector g_j on the free DOFs, so
     K_j = (E / L_j) g_j g_j'; M_j is diagonal with half the bar mass on
     each free DOF of both endpoints.  ``AffinePencil.rank_one`` and
-    ``diagonal`` build each pencil's blocks from these factors, at
-    O(m * w^2) arithmetic (w <= 4), and scatter them into one zeroed stack;
-    PSD by construction.  The load weight matrix Q gets ``load_dims`` unit
-    columns (scaled by ``load_scale``) on the load node's DOFs; the
-    non-structural mass sits on the same node's free DOFs.  Robust
-    compliance reads only K and Q, so its model has ``m_pencil=None``;
-    an eigenfrequency model (the default) has every field.
+    ``diagonal`` keep each pencil's w x w blocks (w <= 4), PSD by
+    construction, and the assembly index read off them, O(m * n) memory in
+    all: no (m, n, n) stack.  Q gets ``load_dims`` unit columns (times
+    ``load_scale``) on the load node's DOFs, where the non-structural mass
+    sits too.  A robust compliance model reads only K and Q and has
+    ``m_pencil=None``; an eigenfrequency model (the default) has all.
     """
     if problem not in (ROBUST_COMPLIANCE, EIGENFREQUENCY):
         raise ValueError(f"unknown problem kind {problem!r}")

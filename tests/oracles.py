@@ -4,7 +4,8 @@ None of these is on a production path: each recomputes a library quantity
 another way, or as an earlier version of the library computed it.
 ``dense_pencil`` builds a pencil from a whole coefficient stack, the
 oracle that the factor constructors ``AffinePencil.rank_one`` and
-``diagonal`` are tested against.
+``diagonal`` are tested against, and ``dense_stack`` gives back the
+``(nvars, n, n)`` stack that a pencil's blocks stand for.
 ``eigenfrequency_model`` gives the tests the mass pencil that a robust
 config's own model does not carry.
 """
@@ -35,7 +36,8 @@ def dense_pencil(constant, coefficients) -> AffinePencil:
     library's dense constructor built it: each C_j halved, then
     symmetrized (raw + raw' may overflow), checked finite and PSD (one
     batched eigvalsh against -PSD_TOL * (1 + max|C_j|)), each error naming
-    coefficient j, and the support read off the stack's nonzero rows."""
+    coefficient j; the support read off the stack's nonzero rows and the
+    blocks gathered from the stack on it."""
     pencil = AffinePencil(constant, len(coefficients))
     if len(coefficients):
         raw = np.asarray(coefficients, dtype=float)
@@ -49,9 +51,23 @@ def dense_pencil(constant, coefficients) -> AffinePencil:
         lam_min = np.linalg.eigvalsh(coeffs)[:, 0]
         geneig._require_each(lam_min >= -symmat.PSD_TOL * (1.0 + top),
                              NotPositiveSemidefinite, "is not PSD")
-        pencil.support, index = geneig._support(coeffs.any(axis=2))
-        pencil.coeffs, pencil.blocks = coeffs, coeffs[index]
+        js = np.arange(len(coeffs))[:, None, None]
+        pencil._hold(coeffs.any(axis=2),
+                     lambda s, _: coeffs[js, s[:, :, None], s[:, None, :]])
     return pencil
+
+
+def dense_stack(pencil) -> np.ndarray:
+    """The pencil's coefficients as one ``(nvars, n, n)`` stack, the one
+    the library evaluated with a GEMV before it kept only the blocks: zeroed,
+    then the blocks scattered in, so every entry outside them is +0.0."""
+    m, n = pencil.nvars, pencil.dim
+    stack = np.zeros((m, n, n))
+    if pencil.blocks is not None:
+        s = pencil.support
+        stack[np.arange(m)[:, None, None], s[:, :, None], s[:, None, :]] = \
+            pencil.blocks
+    return stack
 
 
 def psi_via_linear_solve(model, x) -> float:
@@ -123,11 +139,9 @@ def quad_row_major(pencil, v) -> np.ndarray:
     """v'C_j v per coefficient C_j in plain Python floats: the terms
     (v_a C_j[a, b]) v_b in row-major order, added one at a time from +0.0.
     Terms of zero entries are left out; each is a zero and adds nothing."""
-    if pencil.coeffs is None:
-        return np.zeros(pencil.nvars)
     v = [float(t) for t in v]
     out = []
-    for c in pencil.coeffs:
+    for c in dense_stack(pencil):
         total = 0.0
         for a, b in zip(*np.nonzero(c)):
             total += (v[a] * float(c[a, b])) * v[b]
@@ -138,9 +152,7 @@ def quad_row_major(pencil, v) -> np.ndarray:
 def quad_einsum(pencil, v) -> np.ndarray:
     """v'C_j v per coefficient as the three-operand einsum that
     ``AffinePencil.quad`` ran before it summed each coefficient's block."""
-    if pencil.coeffs is None:
-        return np.zeros(pencil.nvars)
-    return np.einsum("j,mjk,k->m", v, pencil.coeffs, v)
+    return np.einsum("j,mjk,k->m", v, dense_stack(pencil), v)
 
 
 def einsum_sums_row_major() -> bool:

@@ -407,7 +407,7 @@ def _random_level_pencil(rng, m, n, alpha=0.3, eps=1e-3):
 
 @pytest.mark.parametrize("m, n", [(1, 4), (9, 6), (30, 12)])
 def test_level_search_step_matches_the_full_eigh_and_quad(monkeypatch, m, n):
-    # one search step: h from the top pair alone and the GEMV subgradient g
+    # one search step: h from the top pair alone and the subgradient g
     # against the full eigh and pencil.quad, read off the Polyak step
     # x - (h / |g|^2) g that the search hands to the projection
     rng = np.random.default_rng(7 * m + n)
@@ -440,7 +440,7 @@ def test_sublevel_search_on_a_coefficient_free_level_pencil():
     x0 = rng.uniform(0.0, 2.0, m)
     for alpha, feasible in ((0.5, False), (2.0, True)):
         level = const.level(const, alpha, eps)
-        assert level.coeffs is None
+        assert level.blocks is None
         found, x, h = solvers._sublevel_feasible(level, fs, x0, 1e-12, 50)
         assert found == feasible
         assert np.array_equal(x, project_feasible(x0, fs))

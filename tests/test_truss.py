@@ -20,7 +20,7 @@ from geneigopt.truss import (
     generate_ground_structure,
     grid_node_index,
 )
-from oracles import dense_pencil, eigenfrequency_model
+from oracles import dense_pencil, dense_stack, eigenfrequency_model
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -102,7 +102,7 @@ def with_mass(cfg, model):
 
 
 def model_arrays(model):
-    return {"K": model.k_pencil.coeffs, "M": model.m_pencil.coeffs,
+    return {"K": dense_stack(model.k_pencil), "M": dense_stack(model.m_pencil),
             "volumes": model.volumes, "M0": model.m_pencil.constant,
             "Q": model.q_matrix}
 
@@ -152,7 +152,6 @@ def test_assembly_bit_identical_to_loop_oracle(path):
     got = model_arrays(with_mass(cfg, model))
     for key, want in expected.items():
         assert got[key].dtype == want.dtype and np.array_equal(got[key], want), key
-    assert got["K"].flags.c_contiguous and got["M"].flags.c_contiguous
 
 
 def build_with_factors(monkeypatch, build):
@@ -188,23 +187,24 @@ def assert_equals_dense(pencil, constant, coefficient, m, chunk=128,
     With ``designs``, the whole dense pencil is built, read against
     ``pencil`` by ``assert_reads_equal`` and returned."""
     assert pencil.nvars == m
-    assert pencil.coeffs.dtype == float and pencil.coeffs.flags.c_contiguous
+    assert pencil.blocks.dtype == float
     # support and blocks, read off the factors, are C_j's nonzero rows in
     # ascending order, padded with rows outside them, and the stack's bits
-    support = pencil.support
-    for j, c in enumerate(pencil.coeffs):
+    stack, support = dense_stack(pencil), pencil.support
+    for j, c in enumerate(stack):
         rows = np.flatnonzero(c.any(axis=1))
         assert np.array_equal(support[j, :len(rows)], rows)
         assert not np.isin(support[j, len(rows):], rows).any()
-    js = np.arange(m)[:, None, None]
-    gathered = pencil.coeffs[js, support[:, :, None], support[:, None, :]]
-    assert pencil.blocks.tobytes() == gathered.tobytes()
     for lo in range(0, m, chunk):
         js = range(lo, min(lo + chunk, m))
         dense = dense_pencil(constant, [coefficient(j) for j in js])
-        assert dense.coeffs.dtype == float and dense.coeffs.flags.c_contiguous
         assert np.array_equal(pencil.constant, dense.constant)
-        assert np.array_equal(pencil.coeffs[js.start:js.stop], dense.coeffs)
+        assert np.array_equal(stack[js.start:js.stop], dense_stack(dense))
+        # the oracle reads the same support off the stack, and gathers the
+        # blocks' bits from it
+        assert np.array_equal(support[js.start:js.stop], dense.support)
+        assert pencil.blocks[js.start:js.stop].tobytes() == \
+            dense.blocks.tobytes()
     if designs:
         dense = dense_pencil(constant, [coefficient(j) for j in range(m)])
         assert_reads_equal(pencil, dense, designs)
@@ -235,11 +235,14 @@ def test_config_pencils_equal_the_dense_constructor(monkeypatch, path):
     dense_k, dense_m = assert_structured_equals_dense(model, args, designs=20)
     if cfg["problem"] == EIGENFREQUENCY:
         # bisection's level pencil M(x) - alpha (K(x) + eps I) near the
-        # optimum: its GEMVs read its own stack, a - alpha * b of the two
+        # optimum: its blocks are a - alpha * b of the two on the union of
+        # their supports, the dense oracle's stack difference
         alpha, eps = 2277.0, cfg.get("eps", 1e-6)
         level = model.m_pencil.level(model.k_pencil, alpha, eps)
         want = dense_m.level(dense_k, alpha, eps)
-        assert level.coeffs.tobytes() == want.coeffs.tobytes()
+        assert np.array_equal(dense_stack(level), dense_stack(dense_m)
+                              - alpha * dense_stack(dense_k))
+        assert np.array_equal(level.support, want.support)
         assert_reads_equal(level, want, 20)
 
 
@@ -254,8 +257,9 @@ def test_grid_pencils_equal_the_dense_constructor(monkeypatch, nx, ny):
 
 
 def test_robust_model_builds_no_mass_stack():
-    # robust compliance reads K and Q only: the (m, n, n) mass stack, 4.6 MB
-    # at 7x4, is never built for it, so set-up peaks at about one K stack
+    # robust compliance reads K and Q only: the mass pencil is never built
+    # for it, and K keeps its blocks, so set-up peaks far below one
+    # (m, n, n) stack (4.6 MB at 7x4)
     cfg = cli.load_config(str(REPO / "bench" / "configs"
                               / "robust_7x4_subgrad.json"))
     tracemalloc.start()
@@ -265,11 +269,68 @@ def test_robust_model_builds_no_mass_stack():
     finally:
         tracemalloc.stop()
     assert model.m_pencil is None and model.q_matrix is not None
-    assert peak <= 1.25 * model.k_pencil.coeffs.nbytes
+    assert peak <= model.m * model.n ** 2 * 8 / 4
     # with_mass checks every config: M exactly when the problem reads it
     gs = generate_ground_structure(2, 1, 1.0, node_dofs(2, [(0, 0)]))
     with pytest.raises(ValueError, match="unknown problem kind"):
         build_model(gs, Material(), load_node=1, problem="modal")
+
+
+@pytest.mark.parametrize("stem", ["robust_7x4_subgrad", "eigfreq_5x3_bisect"])
+def test_benchmark_pencils_evaluate_as_the_stack_gemv(monkeypatch, stem):
+    # the pinned benchmark answers rest on these bits: n*n is a multiple of
+    # 4 on both (48 and 24 free DOFs), so pencil(x) has the bytes of the
+    # dense oracle stack's tensordot, at designs with exact zeros too
+    cfg = cli.load_config(str(REPO / "bench" / "configs" / f"{stem}.json"))
+    model, args = build_with_factors(
+        monkeypatch, lambda: cli.build_from_config(cfg)[1])
+    k0, g, w = args["rank_one"]
+    pairs = [(model.k_pencil, dense_pencil(
+        k0, [np.outer(gj, gj) * wj for gj, wj in zip(g, w)]))]
+    if model.m_pencil is not None:
+        m0, d = args["diagonal"]
+        pairs.append((model.m_pencil,
+                      dense_pencil(m0, [np.diag(dj) for dj in d])))
+    assert len(pairs) == 1 + (cfg["problem"] == EIGENFREQUENCY)
+    rng = np.random.default_rng(3)
+    for pencil, dense in pairs:
+        assert pencil.dim ** 2 % 4 == 0
+        stack = dense_stack(dense)
+        for _ in range(200):
+            x = rng.uniform(0.0, 2.0, model.m) * (rng.random(model.m) < 0.8)
+            want = dense.constant + np.tensordot(x, stack, axes=1)
+            assert pencil(x).tobytes() == want.tobytes()
+
+
+def test_truss_pencils_build_no_coefficient_stack(monkeypatch):
+    # at 9x5 (m = 632, n = 80) one (m, n, n) stack is 32 MB: building the
+    # model and reading every pencil path stays below an eighth of it
+    gs = generate_ground_structure(9, 5, 0.7,
+                                   node_dofs(9, [(0, iy) for iy in range(5)]))
+    tracemalloc.start()
+    try:
+        model = build_model(gs, Material(2.5, 1.5), grid_node_index(9, 8, 0),
+                            nonstructural_mass=0.25)
+        k, m = model.k_pencil, model.m_pencil
+        x, v = np.full(model.m, 0.5), np.linspace(-1.0, 1.0, model.n)
+        for pencil in (k, m, m.level(k, 2.5, 1e-3)):
+            pencil(x), pencil.quad(v), pencil.quad(np.outer(v, v))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack = model.m * model.n ** 2 * 8
+    assert (model.m, model.n) == (632, 80) and peak < stack / 8
+    # an 11x6 eigenfrequency model (two 157 MB stacks before) holds at most
+    # 8 MB of arrays, as the benchmark's truss.model_mb counts them
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import workloads
+
+    gs = generate_ground_structure(11, 6, 0.7,
+                                   node_dofs(11, [(0, iy) for iy in range(6)]))
+    model = build_model(gs, Material(2.5, 1.5), grid_node_index(11, 10, 0),
+                        nonstructural_mass=0.25)
+    assert (model.m, model.n) == (1361, 120)
+    assert workloads.array_nbytes(model) <= 8e6
 
 
 def test_build_model_runs_no_eigensolver(monkeypatch):
@@ -355,7 +416,7 @@ def test_single_bar_stiffness_rank_one():
     gs = single_bar_structure()
     model = build_model(gs, Material(1.0, 0.0), load_node=1)
     g = np.array([-1.0, 0.0, 1.0, 0.0])
-    assert np.allclose(model.k_pencil.coeffs[0], np.outer(g, g))
+    assert np.allclose(dense_stack(model.k_pencil)[0], np.outer(g, g))
     assert model.m == 1 and model.n == 4
     assert np.allclose(model.volumes, [1.0])
 
@@ -366,7 +427,7 @@ def test_stiffness_scales_with_modulus_and_length():
                          fixed_dofs=frozenset({0, 1}))
     model = build_model(gs, Material(young_modulus=3.0), load_node=1)
     # E/L = 1.5 on the free DOFs of node 1
-    assert np.allclose(model.k_pencil.coeffs[0],
+    assert np.allclose(dense_stack(model.k_pencil)[0],
                        [[1.5, 0.0], [0.0, 0.0]])
     assert np.allclose(model.volumes, [2.0])
 
@@ -376,7 +437,7 @@ def test_lumped_mass_assembly():
     model = build_model(gs, Material(1.0, density=2.0), load_node=1,
                         nonstructural_mass=5.0)
     # half the bar mass (rho * L / 2 = 1) on every DOF of both endpoints
-    assert np.allclose(model.m_pencil.coeffs[0], np.eye(4))
+    assert np.allclose(dense_stack(model.m_pencil)[0], np.eye(4))
     # nonstructural mass only on the load node's DOFs
     m0 = np.zeros((4, 4))
     m0[2, 2] = m0[3, 3] = 5.0
@@ -440,8 +501,7 @@ def test_mirror_symmetry_of_assembly():
     gs = generate_ground_structure(3, 1, 1.0)
     model = build_model(gs, Material(1.0, 1.0), load_node=1)
     # bars are (0,1) and (1,2); swapping them mirrors the structure
-    k0 = model.k_pencil.coeffs[0]
-    k1 = model.k_pencil.coeffs[1]
+    k0, k1 = dense_stack(model.k_pencil)
     # the node relabeling 0 <-> 2 mirrors the structure; the rank-one
     # stiffness is insensitive to the sign flip of the direction vector
     perm = [4, 5, 2, 3, 0, 1]
