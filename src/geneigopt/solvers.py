@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import problems as probs
-from .errors import BracketError
+from .errors import BracketError, InvalidMatrix
 from .geneig import AffinePencil, _log_sum_exp, _pencil_eigh, _top_pair
 # the benchmark's tracer times the solvers' calls under these two names
 from .geneig import composite_value_grad as _pencil_value_grad
@@ -78,9 +78,16 @@ class SolveReport:
 
 def _count_active(x: np.ndarray) -> int:
     top = float(np.max(x)) if len(x) else 0.0
-    if top <= 0:
-        return 0
-    return int(np.sum(x >= DISPLAY_THRESHOLD * top))
+    return 0 if top <= 0 else int(np.sum(x >= DISPLAY_THRESHOLD * top))
+
+
+def _squared_norm(g: np.ndarray) -> float:
+    """g @ g, or ``InvalidMatrix`` (no numpy warning) where it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g2 = float(g @ g)
+    if not g2 < math.inf:  # inf or NaN: no step along g is usable
+        raise InvalidMatrix(f"the subgradient's squared norm is {g2}")
+    return g2
 
 
 def project_feasible(y, fs: FeasibleSet) -> np.ndarray:
@@ -172,9 +179,8 @@ def projected_subgradient(spec: ProblemSpec, x0=None,
         f, g, _ = _pencil_value_grad(pa, pb, x, spec.eps)
         history.append((k, min(f, best_f)))
         if f < best_f:
-            best_f = f
-            best_x = x.copy()
-        gnorm = float(np.linalg.norm(g))
+            best_f, best_x = f, x.copy()
+        gnorm = math.sqrt(_squared_norm(g))  # np.linalg.norm's bits
         if gnorm <= 1e-16:
             termination = "obj_tol"
             break
@@ -225,6 +231,7 @@ def smoothed_apg(spec: ProblemSpec, x0=None,
     for k in range(opts.max_iters):
         mu = opts.smoothing_mu0 / (k + 1.0)
         fy, gy = _smoothed_value_grad(pa, pb, y, spec.eps, mu)
+        _squared_norm(gy)
         # Backtracking on the smoothed model.
         for _ in range(60):
             x_new = project_feasible(y - gy / lips, fs)
@@ -239,8 +246,7 @@ def smoothed_apg(spec: ProblemSpec, x0=None,
         f_true = max(float(w[-1]), 0.0)
         history.append((k + 1, min(f_true, best_f)))
         if f_true < best_f:
-            best_f = f_true
-            best_x = x_new.copy()
+            best_f, best_x = f_true, x_new.copy()
 
         if f_true > prev_f:
             theta = 1.0
@@ -269,9 +275,7 @@ def _sublevel_feasible(pencil: AffinePencil, fs: FeasibleSet,
         w, vecs = _top_pair(pencil(x))
         h = float(w[0])
         if math.isinf(best_h) or h < best_h - 1e-14 * (1.0 + abs(best_h)):
-            best_h = h
-            best_x = x.copy()
-            since_improve = 0
+            best_h, best_x, since_improve = h, x.copy(), 0
         else:
             since_improve += 1
         if h <= slack:
@@ -279,7 +283,7 @@ def _sublevel_feasible(pencil: AffinePencil, fs: FeasibleSet,
         if since_improve > 300:
             break
         g = pencil.quad(vecs[:, 0])
-        gnorm2 = float(g @ g)
+        gnorm2 = _squared_norm(g)
         if gnorm2 <= 1e-30:
             break
         x = project_feasible(x - (h / gnorm2) * g, fs)
@@ -325,8 +329,7 @@ def bisection_global(spec: ProblemSpec,
 
     alpha_hi = max(warm.obj_final * (1.0 + 1e-3), 10.0 * opts.bisect_tol)
     ok, x_w, h_prev = feasible(alpha_hi, warm.x_final)
-    doublings = 0
-    stagnant = 0
+    doublings = stagnant = 0
     while not ok:
         alpha_hi *= 2.0
         doublings += 1

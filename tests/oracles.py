@@ -169,3 +169,32 @@ def einsum_sums_row_major() -> bool:
                 quad_row_major(pencil, v).tobytes():
             return False
     return True
+
+
+def block_einsum_sums_row_major() -> bool:
+    """Whether this numpy's ``einsum("jak,jab,jbk->jk")``, the one einsum
+    of ``AffinePencil.quad``, adds each (j, k)'s terms (v_a B_j[a, b]) v_b
+    in turn from +0.0 in row-major order, as ``quad_row_major`` does (numpy
+    2.4 does).  Probed on blocks and index arrays stored coefficient-fastest,
+    as a pencil holds them, from one coefficient to an 11x6 grid's count."""
+    rng = np.random.default_rng(0)
+    for m, n, w, k in ((1, 1, 1, 1), (1, 8, 8, 2), (7, 5, 3, 3),
+                       (40, 12, 12, 3), (1361, 128, 4, 2)):
+        g = rng.standard_normal((m, w, w))
+        blocks = np.ascontiguousarray(g.transpose(1, 2, 0)).transpose(2, 0, 1)
+        support = np.asfortranarray(
+            np.sort(rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)[:, :w]))
+        vs = rng.standard_normal((n, k))[support]
+        got = np.einsum("jak,jab,jbk->jk", vs, blocks, vs)
+        want = np.zeros((m, k))
+        for j in range(m):
+            for c in range(k):
+                total = 0.0
+                for a in range(w):
+                    for b in range(w):
+                        total += (float(vs[j, a, c]) * float(blocks[j, a, b])) \
+                            * float(vs[j, b, c])
+                want[j, c] = total
+        if got.tobytes() != want.tobytes():
+            return False
+    return True

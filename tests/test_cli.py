@@ -679,8 +679,27 @@ def test_huge_nonstructural_mass_is_typed_error(tmp_path, capsys):
         assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
     assert caught == []
     out = capsys.readouterr()
-    assert out.err.startswith("error: LAPACK dsygvd failed with info = ")
+    # the message says the solve did not converge and shows the 1e308 mass
+    assert out.err.startswith("error: LAPACK dsygvd did not converge (info = ")
+    assert out.err.endswith("): max|A(x)| = 1e+308, "
+                            "max|B(x) + eps*I| = 0.00333\n")
     assert out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("solver", ["subgradient", "smoothed_apg",
+                                    "bisection"])
+def test_overflowing_subgradient_is_typed_error(tmp_path, capsys, solver):
+    # a mass of 1e200 leaves M(x), K(x) and their eigensolve finite, but
+    # the subgradient's squared norm overflows: a step along it has length
+    # 0, which each solver once took until it reported convergence
+    path = example_config(tmp_path, "truss_5x3_eigenfrequency.json",
+                          nonstructural_mass=1e200, solver={"name": solver})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert out.err == "error: the subgradient's squared norm is inf\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("solver", ["subgradient", "smoothed_apg"])

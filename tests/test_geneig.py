@@ -44,6 +44,7 @@ from geneigopt.truss import (
     grid_node_index,
 )
 from oracles import (
+    block_einsum_sums_row_major,
     dense_pencil,
     dense_stack,
     eigenfrequency_model,
@@ -57,6 +58,7 @@ BENCH_MODELS = {"robust_7x4": "robust_7x4_subgrad",
                 "eigfreq_5x3": "eigfreq_5x3_bisect"}
 GRIDS = {"grid_9x5": (9, 5), "grid_11x6": (11, 6)}
 EINSUM_ROW_MAJOR = einsum_sums_row_major()
+BLOCK_EINSUM_ROW_MAJOR = block_einsum_sums_row_major()
 
 
 # ---------------------------------------------------------------- lambda_max
@@ -642,7 +644,7 @@ def test_structured_constructors_match_the_dense_constructor(seed):
         # index and its reads are the same bits
         reads = np.random.default_rng(m)
         x, v = reads.uniform(0.0, 2.0, m), reads.standard_normal(n)
-        z = reads.standard_normal((n, n))
+        z = reads.standard_normal((n, 2))
         for read in (lambda p: p(x), lambda p: p.quad(v), lambda p: p.quad(z)):
             assert read(got).tobytes() == read(want).tobytes()
 
@@ -804,18 +806,6 @@ def _quad_pencils(rng, m, n):
             AffinePencil(q @ q.T, m))
 
 
-@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (7, 3), (40, 12)])
-def test_quad_of_a_matrix_is_the_inner_product(m, n):
-    rng = np.random.default_rng(100 * m + n)
-    for pencil in _quad_pencils(rng, m, n):
-        stack = dense_stack(pencil)
-        for z in (rng.standard_normal((n, n)), np.eye(n)):
-            got = pencil.quad(z)
-            want = np.einsum("mjk,jk->m", stack, z)
-            assert got.shape == (m,)
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-
 def _truss_pencils(case):
     """The K and M pencils of a benchmark config's geometry (M from its
     eigenfrequency model) or of a grid ground structure (n*n is 7396 at 9x5
@@ -831,6 +821,36 @@ def _truss_pencils(case):
             generate_ground_structure(nx, ny, 0.7, fixed), Material(2.5, 1.5),
             grid_node_index(nx, nx - 1, 0), nonstructural_mass=0.25)
     return model.k_pencil, model.m_pencil
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param((1, 1), id="1-1"), pytest.param((1, 5), id="1-5"),
+    pytest.param((7, 3), id="7-3"), pytest.param((40, 12), id="40-12"),
+    *BENCH_MODELS, "grid_11x6",
+])
+def test_quad_of_a_matrix_is_the_inner_product(case):
+    # quad(V) of a 3-column V is each column's v'C_j v, the bytes of
+    # quad(V[:, i]), and <C_j, V diag(s) V'> = quad(V) @ s, on random,
+    # benchmark and 11x6 pencils (a 178 MB oracle stack there)
+    if isinstance(case, str):
+        rng, pencils = np.random.default_rng(5), _truss_pencils(case)
+    else:
+        rng = np.random.default_rng(100 * case[0] + case[1])
+        pencils = _quad_pencils(rng, *case)
+    for pencil in pencils:
+        stack = dense_stack(pencil)
+        v = rng.standard_normal((pencil.dim, 3))
+        s = rng.uniform(0.0, 1.0, 3)
+        got = pencil.quad(v)
+        assert got.shape == (pencil.nvars, 3)
+        want = np.einsum("jn,mjk,kn->mn", v, stack, v)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for i in range(3):
+            assert got[:, i].tobytes() == pencil.quad(v[:, i]).tobytes()
+        inner = np.einsum("mjk,jk->m", stack, (v * s) @ v.T)
+        assert np.linalg.norm(got @ s - inner) <= \
+            1e-12 * np.linalg.norm(inner)
+        del stack
 
 
 @pytest.mark.parametrize("case", [*BENCH_MODELS, "grid_9x5"])
@@ -861,6 +881,20 @@ def _degenerate_pencils(rng, m=6, n=5):
             dense_pencil(np.zeros((n, n)), np.zeros((m, n, n))))
 
 
+def assert_quad_row_major(pencil, v):
+    """quad(v) is ``quad_row_major``'s bytes where this numpy's block
+    einsum adds in row-major order, and on any numpy within 1e-13 of
+    |C_j|_F |v|^2, which bounds the sum of the terms' magnitudes; returns
+    quad(v)."""
+    got, want = pencil.quad(v), quad_row_major(pencil, v)
+    if BLOCK_EINSUM_ROW_MAJOR:
+        assert got.tobytes() == want.tobytes()
+    frobenius = 0.0 if pencil.blocks is None else \
+        np.sqrt(np.einsum("jab,jab->j", pencil.blocks, pencil.blocks))
+    assert np.all(np.abs(got - want) <= 1e-13 * frobenius * (v @ v))
+    return got
+
+
 def _quad_vectors(rng, n, count):
     """Gaussian vectors, alone and with exact zeros of either sign, at unit
     size and at magnitudes 1e-8 to 1e8."""
@@ -880,8 +914,8 @@ def _quad_vectors(rng, n, count):
 def test_quad_of_a_vector_keeps_its_summation_order(case, count):
     # robust_7x4_subgrad's pinned answer depends on these bits: quad(v) adds
     # the einsum's terms in the einsum's order.  Bytes, because -0.0 == 0.0;
-    # the plain-Python oracle states the order on any numpy, the einsum
-    # only where it sums that way
+    # the plain-Python oracle states the order, the einsums only where this
+    # numpy sums that way
     rng = np.random.default_rng(7)
     if case == "degenerate":
         pencils = _degenerate_pencils(rng)
@@ -891,9 +925,8 @@ def test_quad_of_a_vector_keeps_its_summation_order(case, count):
         pencils = _quad_pencils(rng, *case)
     for pencil in pencils:
         for v in _quad_vectors(rng, pencil.dim, count):
-            got = pencil.quad(v)
-            assert got.tobytes() == quad_row_major(pencil, v).tobytes()
-            if EINSUM_ROW_MAJOR:
+            got = assert_quad_row_major(pencil, v)
+            if EINSUM_ROW_MAJOR and BLOCK_EINSUM_ROW_MAJOR:
                 assert got.tobytes() == quad_einsum(pencil, v).tobytes()
 
 
@@ -907,8 +940,7 @@ def test_quad_of_a_vector_above_the_einsum_buffer():
         c = dense_stack(pencil)
         frobenius = np.sqrt(np.einsum("mjk,mjk->m", c, c))
         for v in _quad_vectors(rng, pencil.dim, 1):
-            got = pencil.quad(v)
-            assert got.tobytes() == quad_row_major(pencil, v).tobytes()
+            got = assert_quad_row_major(pencil, v)
             assert np.all(np.abs(got - quad_einsum(pencil, v))
                           <= 1e-13 * frobenius * (v @ v))
 
@@ -962,8 +994,7 @@ def test_quad_of_a_vector_keeps_its_order_with_one_coefficient():
     for m, n in ((1, 3), (1, 5), (1, 8), (2, 5), (2, 8)):
         for pencil in _quad_pencils(rng, m, n):
             for v in _quad_vectors(rng, n, 3):
-                assert pencil.quad(v).tobytes() == \
-                    quad_row_major(pencil, v).tobytes()
+                assert_quad_row_major(pencil, v)
 
 
 def test_pencil_rejects_a_design_of_another_length():
@@ -976,11 +1007,16 @@ def test_pencil_rejects_a_design_of_another_length():
 
 
 def test_quad_rejects_other_shapes():
+    # an n-vector gives (nvars,), n x k columns (nvars, k); any other
+    # leading length, a scalar or a 3-d array is a ValueError
     rng = np.random.default_rng(9)
     for pencil in _quad_pencils(rng, 4, 3):
-        for shape in [(3, 4), (4, 3), (3, 1), (2, 2), (4,), (1, 3, 3)]:
-            with pytest.raises(ValueError):
+        for shape in [(4, 3), (2, 2), (4,), (2,), (), (1, 3, 3), (3, 3, 1)]:
+            with pytest.raises(ValueError, match="quad needs shape"):
                 pencil.quad(np.ones(shape))
+        for shape, out in [((3,), (4,)), ((3, 1), (4, 1)), ((3, 4), (4, 4)),
+                           ((3, 0), (4, 0))]:
+            assert pencil.quad(np.ones(shape)).shape == out
 
 
 def test_singular_denominator_is_typed():
@@ -1053,9 +1089,13 @@ def test_lapack_convergence_failure_is_invalid_matrix(monkeypatch):
     _failing(monkeypatch, "dsygvd", 1)
     for evaluate in (composite_value_grad,
                      lambda *args: smoothed_value_grad(*args, 0.1)):
-        with pytest.raises(InvalidMatrix,
-                           match="LAPACK dsygvd failed with info = 1"):
+        with pytest.raises(InvalidMatrix) as err:
             evaluate(a, b, [1.0, 1.0], 0.1)
+        want = (np.max(np.abs(a([1.0, 1.0]))),
+                np.max(np.abs(b([1.0, 1.0]) + 0.1 * np.eye(a.dim))))
+        assert str(err.value) == (
+            f"LAPACK dsygvd did not converge (info = 1): max|A(x)| = "
+            f"{want[0]:.3g}, max|B(x) + eps*I| = {want[1]:.3g}")
 
 
 def test_level_test_lapack_failure_is_typed(monkeypatch):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import scipy.linalg
 
 from geneigopt import cli, geneig, problems, solvers, truss
-from geneigopt.errors import BracketError
+from geneigopt.errors import BracketError, InvalidMatrix
 from geneigopt.geneig import AffinePencil
 from geneigopt.problems import (
     EIGENFREQUENCY,
@@ -427,6 +428,22 @@ def test_level_search_step_matches_the_full_eigh_and_quad(monkeypatch, m, n):
         want = (h / float(g @ g)) * g
         assert np.allclose(x0 - steps[-1], want, rtol=0.0,
                            atol=1e-12 * (1.0 + np.max(np.abs(want))))
+
+
+def test_level_search_stops_typed_on_an_overflowing_subgradient():
+    # C_j = diag(d_j) with entries near 1e160: C(x) and its top pair are
+    # finite, but |g|^2 = sum_j (v'C_j v)^2 overflows, so a Polyak step
+    # would not move; the search raises, with no numpy warning
+    rng = np.random.default_rng(4)
+    m, n = 6, 3
+    pencil = AffinePencil.diagonal(np.zeros((n, n)),
+                                   rng.uniform(0.5, 1.0, (m, n)) * 1e160)
+    fs = FeasibleSet(l=np.ones(m), v0=float(m), kind=problems.VOLUME_LE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidMatrix,
+                           match="the subgradient's squared norm is inf"):
+            solvers._sublevel_feasible(pencil, fs, np.ones(m), -math.inf, 5)
 
 
 def test_sublevel_search_on_a_coefficient_free_level_pencil():
