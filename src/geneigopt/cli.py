@@ -29,7 +29,8 @@ import jsonschema
 import numpy as np
 
 from . import __version__, problems, solvers, truss, verify
-from .errors import BracketError, ConfigError, GenEigError
+from .errors import (BracketError, ConfigError, GenEigError, InvalidBar,
+                     InvalidMatrix)
 from .problems import FeasibleSet, ProblemSpec
 from .solvers import DISPLAY_THRESHOLD, SolverOptions
 
@@ -188,8 +189,6 @@ def build_from_config(cfg: dict):
     n_nodes = grid["nx"] * grid["ny"] if grid is not None else len(cfg["nodes"])
     if grid is not None and n_nodes < 2:
         raise ConfigError("grid: needs at least two nodes", field="grid")
-    if grid is None and not cfg["bars"]:
-        raise ConfigError("bars: needs at least one bar", field="bars")
     # global DOFs 2 * node + direction; repeated nodes add their directions
     fixed = frozenset(2 * _node_index(entry, "fixed_nodes", n_nodes, grid) + d
                       for entry in cfg.get("fixed_nodes", [])
@@ -199,38 +198,19 @@ def build_from_config(cfg: dict):
         gs = truss.generate_ground_structure(grid["nx"], grid["ny"],
                                              grid["spacing"], fixed)
     else:
-        nodes = np.asarray(cfg["nodes"], dtype=float)
-        bars = np.asarray(cfg["bars"], dtype=int)
-        for j, (a, b) in enumerate(bars):
-            if not (0 <= a < n_nodes and 0 <= b < n_nodes):
-                raise ConfigError(f"bars: bar {j} has a node outside "
-                                  f"0..{n_nodes - 1}", field="bars")
-        gs = truss.GroundStructure(nodes=nodes, bars=bars, fixed_dofs=fixed)
-    mat = truss.Material(**cfg.get("material", {}))
-    with np.errstate(all="ignore"):  # build_model's bar constants, silently
-        d = gs.nodes[gs.bars[:, 1]] - gs.nodes[gs.bars[:, 0]]
-        lengths = np.linalg.norm(d, axis=1)
-        constants = [mat.young_modulus / lengths]  # a robust model has no mass
-        if cfg["problem"] == problems.EIGENFREQUENCY:
-            constants.append(0.5 * mat.density * lengths)
-    bad = np.flatnonzero(~((lengths > 0) & (lengths < math.inf)))
-    if bad.size:
-        field = "bars" if grid is None else "grid"
-        raise ConfigError(f"{field}: bar {bad[0]} has length {lengths[bad[0]]}"
-                          ", not finite and positive", field=field)
-    bad = np.flatnonzero(~np.isfinite(constants).all(axis=0))
-    if bad.size:
-        raise ConfigError(f"material: bar {bad[0]} (length {lengths[bad[0]]}) "
-                          "overflows its stiffness or mass", field="material")
-
+        gs = truss.GroundStructure(np.asarray(cfg["nodes"], dtype=float),
+                                   np.asarray(cfg["bars"], dtype=int), fixed)
     load_node = _node_index(cfg["load_node"], "load_node", n_nodes, grid)
-    model = truss.build_model(
-        gs, mat, load_node,
-        load_scale=cfg.get("load_scale", 1.0),
-        nonstructural_mass=cfg.get("nonstructural_mass", 0.0),
-        load_dims=cfg.get("load_dims", 2),
-        problem=cfg["problem"],
-    )
+    try:  # build_model checks the bars; the config names their fields
+        model = truss.build_model(
+            gs, truss.Material(**cfg.get("material", {})), load_node,
+            cfg.get("load_scale", 1.0), cfg.get("nonstructural_mass", 0.0),
+            cfg.get("load_dims", 2), problem=cfg["problem"])
+    except InvalidBar as exc:
+        field = "bars" if grid is None else "grid"
+        raise ConfigError(f"{field}: {exc}", field=field) from None
+    except InvalidMatrix as exc:
+        raise ConfigError(f"material: {exc}", field="material") from None
     return gs, model
 
 

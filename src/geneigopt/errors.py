@@ -6,7 +6,7 @@ class GenEigError(Exception):
 
 
 class InvalidMatrix(GenEigError):
-    """Matrix has non-finite entries or an invalid shape."""
+    """Non-finite matrix entries or a bad shape; a bar's E/L or ½ρL is inf."""
 
 
 class NotPositiveSemidefinite(GenEigError):
@@ -37,6 +37,10 @@ class DegeneratePair(GenEigError):
 
 class NoFreeDofs(GenEigError):
     """Every degree of freedom of the ground structure is restrained."""
+
+
+class InvalidBar(GenEigError):
+    """No bar, a bar to a missing node, or a bar length not finite and > 0."""
 
 
 class InvalidLoadNode(GenEigError):

@@ -58,10 +58,10 @@ class AffinePencil:
     ``AffinePencil(constant, nvars)`` is the constant pencil (e.g. the QQ'
     term of robust compliance), its constant finite.  ``rank_one``,
     ``diagonal`` and ``level`` set the blocks C_j[s, s] = ``blocks[j]`` on
-    s = ``support[j]``, C_j's nonzero rows ascending, padded to the widest
-    w.  ``pencil(x)`` forms no (nvars, n, n) stack: an entry one C_j alone
-    touches is x_j * C_j[a, b] + 0.0, the others (a truss node's 2 x 2
-    block) come from one zero-padded GEMV over their columns, with the
+    s = ``support[j]``, C_j's nonzero rows ascending, padded to the widest w
+    (0 if all C_j = 0).  ``pencil(x)`` forms no (nvars, n, n) stack: an entry
+    one C_j alone touches is x_j * C_j[a, b] + 0.0, the others (a truss node's
+    2 x 2 block) come from one zero-padded GEMV over their columns, with the
     bits of the stack GEMV A0 + x @ C where n*n % 4 == 0 (see README).
     """
 
@@ -75,13 +75,15 @@ class AffinePencil:
         if isinstance(nvars, bool) or not isinstance(nvars, numbers.Integral) \
                 or nvars < 0:
             raise ValueError(f"nvars must be an integer >= 0, got {nvars!r}")
-        self.constant, self.nvars = a0, int(nvars)
-        self.support = self.blocks = self._index = None
+        self.constant, self.nvars, m = a0, int(nvars), int(nvars)
+        self.support, self.blocks = np.zeros((m, 0), int), np.zeros((m, 0, 0))
+        self._index = (np.zeros(0, int), np.zeros(0), np.zeros((m, 0)),
+                       np.zeros((2, 0), int))
 
     def _hold(self, factors, block):
         """Hold ``block(s, f)``, f the ``factors`` on the support s read off
         their nonzeros, coefficient-fastest, and ``__call__``'s index."""
-        n, width = self.dim, max(1, int(np.count_nonzero(factors, 1).max()))
+        n, width = self.dim, int(np.count_nonzero(factors, 1).max(initial=0))
         s = np.argsort(factors == 0, axis=1, kind="stable")[:, :width]
         f = np.take_along_axis(factors, s, axis=1)
         self.support = np.ascontiguousarray(s.T).T
@@ -98,9 +100,7 @@ class AffinePencil:
                        np.stack((lower, lower % n * n + lower // n)))
 
     def _blocks_on(self, support):
-        """C_j[s, s] on s = ``support[j]`` by one-hot sums (0.0 if none)."""
-        if self.blocks is None:
-            return 0.0
+        """C_j[s, s] on s = ``support[j]`` by one-hot sums."""
         at = support[:, :, None] == self.support[:, None, :]
         return np.einsum("jac,jcd,jbd->jab", at, self.blocks, at)
 
@@ -118,9 +118,8 @@ class AffinePencil:
             top = peak * peak * w  # max|C_j|, rounded as C_j's entry is
         _require_each(np.isfinite(top), InvalidMatrix, "has non-finite entries")
         _require_each(w >= 0, NotPositiveSemidefinite, "is not PSD")
-        if len(w):
-            pencil._hold(v, lambda s, f: (f[:, :, None] * f[:, None, :])
-                         * w[:, None, None])
+        pencil._hold(v, lambda s, f: (f[:, :, None] * f[:, None, :])
+                     * w[:, None, None])
         return pencil
 
     @staticmethod
@@ -135,9 +134,8 @@ class AffinePencil:
                       "has non-finite entries")
         _require_each((d >= 0).all(axis=1), NotPositiveSemidefinite,
                       "is not PSD")
-        if len(d):  # diag(f), +0.0 off the diagonal
-            pencil._hold(d, lambda s, f: np.where(
-                np.eye(f.shape[1], dtype=bool), f[:, :, None], 0.0))
+        pencil._hold(d, lambda s, f: np.where(  # diag(f), +0.0 off it
+            np.eye(f.shape[1], dtype=bool), f[:, :, None], 0.0))
         return pencil
 
     @property
@@ -147,8 +145,7 @@ class AffinePencil:
     def scale(self, eps: float = 0.0) -> float:
         """max|A0 + eps*I| + max_j max|A_j|, the entry size of the pencil."""
         top = float(np.max(np.abs(self.constant + eps * np.eye(self.dim))))
-        return top if self.blocks is None else \
-            top + float(np.max(np.abs(self.blocks)))  # every nonzero
+        return top + float(np.max(np.abs(self.blocks), initial=0.0))
 
     def level(self, other: "AffinePencil", alpha: float,
               eps: float) -> "AffinePencil":
@@ -158,18 +155,16 @@ class AffinePencil:
         pencil = AffinePencil(
             self.constant - alpha * (other.constant + eps * np.eye(self.dim)),
             self.nvars)
-        held = [p for p in (self, other) if p.blocks is not None]
-        if held:
-            rows = np.zeros((self.nvars, self.dim), dtype=bool)
-            for p in held:
-                rows[np.arange(self.nvars)[:, None], p.support] |= \
-                    p.blocks.any(axis=2)
-            pencil._hold(rows, lambda s, _: self._blocks_on(s)
-                         - alpha * other._blocks_on(s))
+        rows = np.zeros((self.nvars, self.dim), dtype=bool)
+        for p in (self, other):
+            rows[np.arange(self.nvars)[:, None], p.support] |= \
+                p.blocks.any(axis=2)
+        pencil._hold(rows, lambda s, _: self._blocks_on(s)
+                     - alpha * other._blocks_on(s))
         return pencil
 
     def __call__(self, x) -> np.ndarray:
-        if self.blocks is None:
+        if self.blocks.size == 0:  # no coefficient: robust's QQ' numerator
             return self.constant.copy()
         x = np.asarray(x, dtype=float)
         if x.shape != (self.nvars,):
@@ -185,9 +180,10 @@ class AffinePencil:
         (nvars, k), for an n x k v; <C_j, U diag(s) U'> = quad(U) @ s.  One
         einsum adds each (v_a C_j[a, b]) v_b from +0.0 in row-major order
         (README), 3.6x faster on blocks coefficient-fastest than C-ordered."""
+        v = np.asarray(v, dtype=float)
         if v.ndim not in (1, 2) or v.shape[0] != self.dim:
             raise ValueError(f"quad needs shape (n,) or (n, k), got {v.shape}")
-        if self.blocks is None:
+        if self.blocks.size == 0:
             return np.zeros((self.nvars,) + v.shape[1:])
         vs = (v if v.ndim == 2 else v[:, None])[self.support]
         q = np.einsum("jak,jab,jbk->jk", vs, self.blocks, vs)

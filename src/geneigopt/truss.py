@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidLoadNode, NoFreeDofs
+from .errors import InvalidBar, InvalidLoadNode, InvalidMatrix, NoFreeDofs
 from .geneig import AffinePencil
 from .problems import EIGENFREQUENCY, ROBUST_COMPLIANCE, PencilModel
 
@@ -100,7 +100,30 @@ def build_model(gs: GroundStructure, mat: Material, load_node: int,
     ``load_scale``) on the load node's DOFs, where the non-structural mass
     sits too.  A robust compliance model reads only K and Q and has
     ``m_pencil=None``; an eigenfrequency model (the default) has all.
+
+    Checked first, ``InvalidBar``: no bar, a bar to a missing node, a length
+    not finite and positive; ``InvalidMatrix``: E/L, or ½ρL for M, is inf.
     """
+    m, n_nodes = gs.n_bars, gs.n_nodes
+    if not m:
+        raise InvalidBar("needs at least one bar")
+    bad = np.flatnonzero(((gs.bars < 0) | (gs.bars >= n_nodes)).any(axis=1))
+    if bad.size:
+        raise InvalidBar(f"bar {bad[0]} has a node outside 0..{n_nodes - 1}")
+    with np.errstate(all="ignore"):  # checked next
+        d = gs.nodes[gs.bars[:, 1]] - gs.nodes[gs.bars[:, 0]]
+        lengths = np.linalg.norm(d, axis=1)
+        stiffness = mat.young_modulus / lengths
+        mass = 0.5 * mat.density * lengths
+    bad = np.flatnonzero(~((lengths > 0) & (lengths < np.inf)))
+    if bad.size:
+        raise InvalidBar(f"bar {bad[0]} has length {lengths[bad[0]]}, not "
+                         "finite and positive")
+    bad = np.flatnonzero(~np.isfinite(stiffness) | ~np.isfinite(
+        mass if problem == EIGENFREQUENCY else 0.0))  # robust: no M
+    if bad.size:
+        raise InvalidMatrix(f"bar {bad[0]} (length {lengths[bad[0]]}) "
+                            "overflows its stiffness or mass")
     if problem not in (ROBUST_COMPLIANCE, EIGENFREQUENCY):
         raise ValueError(f"unknown problem kind {problem!r}")
     if load_dims not in (1, 2):
@@ -110,18 +133,15 @@ def build_model(gs: GroundStructure, mat: Material, load_node: int,
         raise NoFreeDofs("every DOF is restrained")
     n = len(free)
     # global DOF -> free DOF index, -1 on restrained DOFs
-    dof_index = np.full(2 * gs.n_nodes, -1)
+    dof_index = np.full(2 * n_nodes, -1)
     dof_index[free] = np.arange(n)
 
     load = dof_index[2 * load_node:2 * load_node + 2]
-    if not 0 <= load_node < gs.n_nodes or np.any(load[:load_dims] < 0):
+    if not 0 <= load_node < n_nodes or np.any(load[:load_dims] < 0):
         raise InvalidLoadNode(
             f"node {load_node} must be free in the first {load_dims} direction(s)")
     load = load[load >= 0]
 
-    m = gs.n_bars
-    d = gs.nodes[gs.bars[:, 1]] - gs.nodes[gs.bars[:, 0]]
-    lengths = np.linalg.norm(d, axis=1)
     unit = d / lengths[:, None]
     # per bar: free DOFs among (2a, 2a+1, 2b, 2b+1) and their entries of g_j
     dofs = dof_index[(2 * gs.bars[:, :, None] + np.arange(2)).reshape(m, 4)]
@@ -131,14 +151,14 @@ def build_model(gs: GroundStructure, mat: Material, load_node: int,
     g[bar, col] = np.hstack((-unit, unit))[bar, slot]
     q = np.zeros((n, load_dims))
     q[load[:load_dims], np.arange(load_dims)] = load_scale
-    k = AffinePencil.rank_one(np.zeros((n, n)), g, mat.young_modulus / lengths)
+    k = AffinePencil.rank_one(np.zeros((n, n)), g, stiffness)
 
-    mass = None
+    m_pencil = None
     if problem == EIGENFREQUENCY:
         masses = np.zeros((m, n))
-        masses[bar, col] = (0.5 * mat.density * lengths)[bar]
+        masses[bar, col] = mass[bar]
         m0 = np.zeros((n, n))
         m0[load, load] = nonstructural_mass
-        mass = AffinePencil.diagonal(m0, masses)
-    return PencilModel(k_pencil=k, m_pencil=mass, volumes=lengths,
+        m_pencil = AffinePencil.diagonal(m0, masses)
+    return PencilModel(k_pencil=k, m_pencil=m_pencil, volumes=lengths,
                        q_matrix=q, load_node=load_node)

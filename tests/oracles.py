@@ -62,11 +62,9 @@ def dense_stack(pencil) -> np.ndarray:
     the library evaluated with a GEMV before it kept only the blocks: zeroed,
     then the blocks scattered in, so every entry outside them is +0.0."""
     m, n = pencil.nvars, pencil.dim
-    stack = np.zeros((m, n, n))
-    if pencil.blocks is not None:
-        s = pencil.support
-        stack[np.arange(m)[:, None, None], s[:, :, None], s[:, None, :]] = \
-            pencil.blocks
+    stack, s = np.zeros((m, n, n)), pencil.support
+    stack[np.arange(m)[:, None, None], s[:, :, None], s[:, None, :]] = \
+        pencil.blocks
     return stack
 
 

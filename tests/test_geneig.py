@@ -717,7 +717,8 @@ def test_constant_pencil_has_zero_gradient_terms():
     # a numpy integer counts; a stack (the dense pencil's argument), a
     # negative or fractional count and a bool do not
     p = AffinePencil(np.eye(3), np.int64(3))
-    assert p.nvars == 3 and type(p.nvars) is int and p.blocks is None
+    assert p.nvars == 3 and type(p.nvars) is int
+    assert p.support.shape == (3, 0) and p.blocks.shape == (3, 0, 0)
     assert np.array_equal(p(np.ones(3)), np.eye(3))
     for bad in (np.zeros((2, 3, 3)), [np.eye(3)], -1, 2.5, True):
         with pytest.raises(ValueError, match="nvars"):
@@ -737,7 +738,7 @@ def test_constant_pencil_matches_dense_zero_coefficients():
         got = composite_value_grad(const, b, x, 1e-3)
         want = composite_value_grad(dense, b, x, 1e-3)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert const.nvars == m and const.blocks is None
+    assert const.nvars == m and const.blocks.shape == (m, 0, 0)
     held = [getattr(const, s) for s in AffinePencil.__slots__]
     assert all(np.size(h) < m * n * n for h in held
                if isinstance(h, np.ndarray))
@@ -787,8 +788,8 @@ def test_level_pencil_and_scale():
             assert np.allclose(level(x), want, rtol=0.0, atol=1e-12)
             assert np.allclose(level.quad(v), num.quad(v) - alpha * b.quad(v),
                                rtol=0.0, atol=1e-12)
-    # no coefficients on either side: the level pencil stores none either
-    assert const.level(const, alpha, eps).blocks is None
+    # no coefficients on either side: the level pencil's blocks have width 0
+    assert const.level(const, alpha, eps).blocks.shape == (m, 0, 0)
     assert a.scale() == float(np.max(np.abs(a.constant))) + \
         float(np.max(np.abs(dense_stack(a))))
     assert b.scale(eps) == eps + float(np.max(np.abs(dense_stack(b))))
@@ -889,8 +890,7 @@ def assert_quad_row_major(pencil, v):
     got, want = pencil.quad(v), quad_row_major(pencil, v)
     if BLOCK_EINSUM_ROW_MAJOR:
         assert got.tobytes() == want.tobytes()
-    frobenius = 0.0 if pencil.blocks is None else \
-        np.sqrt(np.einsum("jab,jab->j", pencil.blocks, pencil.blocks))
+    frobenius = np.sqrt(np.einsum("jab,jab->j", pencil.blocks, pencil.blocks))
     assert np.all(np.abs(got - want) <= 1e-13 * frobenius * (v @ v))
     return got
 
@@ -962,8 +962,8 @@ def test_every_pencil_kind_sets_every_slot():
     kinds = [
         (dense, psd), (diag, diags),
         (dense.level(diag, 2.5, 1e-3), psd - 2.5 * diags),
-        (diag.level(const, 2.5, 1e-3), diags), (const, None),
-        (const.level(const, 2.0, 1e-3), None),
+        (diag.level(const, 2.5, 1e-3), diags), (const, np.zeros_like(psd)),
+        (const.level(const, 2.0, 1e-3), np.zeros_like(psd)),
         (AffinePencil.rank_one(np.zeros((n, n)), v, w),
          np.array([wj * np.outer(vj, vj) for vj, wj in zip(v, w)])),
         (AffinePencil.diagonal(np.zeros((n, n)), d),
@@ -973,9 +973,6 @@ def test_every_pencil_kind_sets_every_slot():
     ]
     for pencil, stack in kinds:
         held = {s: getattr(pencil, s) for s in AffinePencil.__slots__}
-        if stack is None:
-            assert held["support"] is held["blocks"] is held["_index"] is None
-            continue
         support, blocks = held["support"], held["blocks"]
         assert support.shape[0] == pencil.nvars
         assert blocks.shape == support.shape + support.shape[1:]
@@ -1017,6 +1014,20 @@ def test_quad_rejects_other_shapes():
         for shape, out in [((3,), (4,)), ((3, 1), (4, 1)), ((3, 4), (4, 4)),
                            ((3, 0), (4, 0))]:
             assert pencil.quad(np.ones(shape)).shape == out
+
+
+def test_quad_reads_array_likes_as_the_call_does():
+    # quad(v) converts v as pencil(x) converts x: a list or an int array
+    # gives the float array's bytes, and other shapes stay a ValueError
+    rng = np.random.default_rng(9)
+    for pencil in _quad_pencils(rng, 4, 3):
+        for v in ([1.0, 2.0, -3.0], [[1, 0], [2, 1], [-3, 0]]):
+            want = pencil.quad(np.array(v, dtype=float)).tobytes()
+            for like in (v, np.array(v)):
+                assert pencil.quad(like).tobytes() == want
+        for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]], 1.0):
+            with pytest.raises(ValueError, match="quad needs shape"):
+                pencil.quad(bad)
 
 
 def test_singular_denominator_is_typed():

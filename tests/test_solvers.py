@@ -457,7 +457,7 @@ def test_sublevel_search_on_a_coefficient_free_level_pencil():
     x0 = rng.uniform(0.0, 2.0, m)
     for alpha, feasible in ((0.5, False), (2.0, True)):
         level = const.level(const, alpha, eps)
-        assert level.blocks is None
+        assert level.blocks.shape == (m, 0, 0)
         found, x, h = solvers._sublevel_feasible(level, fs, x0, 1e-12, 50)
         assert found == feasible
         assert np.array_equal(x, project_feasible(x0, fs))

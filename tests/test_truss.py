@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,12 @@ import pytest
 import scipy.linalg
 
 from geneigopt import cli, truss
-from geneigopt.errors import InvalidLoadNode, NoFreeDofs
+from geneigopt.errors import (
+    InvalidBar,
+    InvalidLoadNode,
+    InvalidMatrix,
+    NoFreeDofs,
+)
 from geneigopt.geneig import AffinePencil
 from geneigopt.problems import EIGENFREQUENCY, ROBUST_COMPLIANCE
 from geneigopt.truss import (
@@ -409,6 +415,61 @@ def single_bar_structure():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0]])
     bars = np.array([[0, 1]])
     return GroundStructure(nodes=nodes, bars=bars, fixed_dofs=frozenset())
+
+
+def structure(nodes, bars=((0, 1),), fixed_dofs=frozenset()):
+    return GroundStructure(nodes=np.asarray(nodes, dtype=float),
+                           bars=np.asarray(bars, dtype=int),
+                           fixed_dofs=frozenset(fixed_dofs))
+
+
+@pytest.mark.parametrize("gs, problem, message", [
+    (structure([[0.0, 0.0], [1.0, 0.0]], [[0, 5]]), EIGENFREQUENCY,
+     "bar 0 has a node outside 0..1"),
+    (structure([[0.0, 0.0], [1.0, 0.0]], [[0, 1], [-1, 0]]), EIGENFREQUENCY,
+     "bar 1 has a node outside 0..1"),
+    (structure([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], [[0, 1], [2, 0]]),
+     EIGENFREQUENCY, "bar 1 has length 0.0, not finite and positive"),
+    (structure([[-1e300, 0.0], [1e300, 0.0]]), ROBUST_COMPLIANCE,
+     "bar 0 has length inf, not finite and positive"),
+    (structure([[0.0, 0.0], [1.0, 0.0]], np.zeros((0, 2))), EIGENFREQUENCY,
+     "needs at least one bar"),
+    # a config's "bars": [] reads as shape (0,); the bar checks come first
+    (structure([[0.0, 0.0], [1.0, 0.0]], [], range(4)), ROBUST_COMPLIANCE,
+     "needs at least one bar"),
+], ids=["missing-node", "negative-node", "coincident-nodes",
+        "overflowing-length", "no-bars", "no-bars-no-free-dofs"])
+def test_build_model_rejects_a_bad_bar(gs, problem, message):
+    # no IndexError, no numpy warning, no model that a solve divides by
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidBar) as info:
+            build_model(gs, Material(), load_node=1, problem=problem)
+    assert str(info.value) == message
+
+
+def test_build_model_rejects_an_overflowing_bar_constant():
+    # E/L of a 1e-150 bar overflows; so does the eigenfrequency model's
+    # 0.5 * rho * L at rho = 1e308, but a robust model builds no M, so
+    # its K and volumes are the ones of a massless material
+    tiny, bar = structure([[0.0, 0.0], [1e-150, 0.0]]), structure(
+        [[0.0, 0.0], [4.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for problem in (ROBUST_COMPLIANCE, EIGENFREQUENCY):
+            with pytest.raises(InvalidMatrix) as info:
+                build_model(tiny, Material(young_modulus=1e200), 1,
+                            problem=problem)
+            assert str(info.value) == \
+                "bar 0 (length 1e-150) overflows its stiffness or mass"
+        with pytest.raises(InvalidMatrix, match=r"^bar 0 \(length 4\.0\) "):
+            build_model(bar, Material(density=1e308), 1)
+        heavy, light = (build_model(bar, Material(density=rho), 1,
+                                    problem=ROBUST_COMPLIANCE)
+                        for rho in (1e308, 0.0))
+    assert heavy.m_pencil is None
+    assert heavy.k_pencil.blocks.tobytes() == light.k_pencil.blocks.tobytes()
+    assert heavy.volumes.tolist() == [4.0]
 
 
 def test_single_bar_stiffness_rank_one():
