@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``solve <config>``      the config's solver, or with ``eps_schedule`` an
-                          epsilon-continuation of it
+* ``solve <config>``      ``solvers.solve`` with the config's solver, or
+                          with ``eps_schedule`` an epsilon-continuation of it
 * ``render <result>``     SVG drawing of a stored design
 * ``verify <suite>``      run the numerical certification suites
 
@@ -214,13 +214,12 @@ def build_from_config(cfg: dict):
     return gs, model
 
 
-def problem_from_config(cfg: dict, model, eps: float | None = None):
+def problem_from_config(cfg: dict, model):
     vol = cfg["volume"]
     default_kind = problems.VOLUME_LE \
         if cfg["problem"] == problems.ROBUST_COMPLIANCE else problems.VOLUME_EQ
     formulation = cfg.get("formulation", FORM_PENCIL_EPS)
-    if eps is None:
-        eps = cfg.get("eps", 1e-6)
+    eps = float(cfg.get("eps", 1e-6))  # an eps_schedule replaces it per step
     lower_bound = eps if formulation == FORM_LOWER_BOUND_EPS else 0.0
     pencil_eps = eps if formulation == FORM_PENCIL_EPS else 0.0
     fs = FeasibleSet(l=model.volumes, v0=vol["v0"],
@@ -362,14 +361,9 @@ def _dispatch_solve(cfg: dict, config_path: str) -> int:
     paths = _output_paths(cfg, config_path)
     solver_name = cfg.get("solver", {}).get("name", "subgradient")
     schedule = cfg.get("eps_schedule")
-    if schedule is not None:
-        if any(b >= a for a, b in zip(schedule, schedule[1:])):
-            raise ConfigError("eps_schedule: must be strictly decreasing",
-                              field="eps_schedule")
-        if solver_name == "bisection":
-            raise ConfigError("solver/name: an eps_schedule runs subgradient "
-                              "or smoothed_apg, not bisection",
-                              field="solver/name")
+    if schedule and any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise ConfigError("eps_schedule: must be strictly decreasing",
+                          field="eps_schedule")
     if solver_name != "bisection" and cfg.get("formulation") == FORM_EXACT:
         # at eps = 0 the first-order solvers stop on a singular K(x) as
         # soon as areas reach zero; bisection tests levels instead
@@ -377,8 +371,9 @@ def _dispatch_solve(cfg: dict, config_path: str) -> int:
                           f"{solver_name}", field="formulation")
     if schedule is not None and "eps" in cfg:
         raise ConfigError("eps: an eps_schedule replaces eps", field="eps")
-    if cfg.get("formulation") == FORM_EXACT and "eps" in cfg:
-        raise ConfigError("eps: formulation exact has no eps", field="eps")
+    if cfg.get("formulation") == FORM_EXACT and ("eps" in cfg or schedule):
+        key = "eps" if "eps" in cfg else "eps_schedule"  # none to use or sweep
+        raise ConfigError(f"{key}: formulation exact has no eps", field=key)
     gs, model = build_from_config(cfg)
     if solver_name != "bisection" and \
             cfg.get("formulation") == FORM_LOWER_BOUND_EPS:
@@ -388,16 +383,13 @@ def _dispatch_solve(cfg: dict, config_path: str) -> int:
             raise ConfigError(f"formulation: lower_bound_eps with {solver_name}"
                               " needs K(x) > 0; use pencil_eps", "formulation")
     opts = solver_options_from_config(cfg)
-    spec = problem_from_config(cfg, model, schedule[0] if schedule else None)
+    spec = problem_from_config(cfg, model)
     # the formulation's eps: the pencil shift, else the area floor
     eps_values = [float(e) for e in
                   schedule or [spec.eps or spec.feasible.lower_bound]]
     start = time.perf_counter()
-    if solver_name == "bisection":
-        reports = [solvers.bisection_global(spec, opts=opts)]
-    else:  # without a schedule, a one-step continuation
-        reports = solvers.eps_continuation(spec, eps_values, opts,
-                                           method=solver_name)
+    reports = solvers.eps_continuation(spec, schedule, opts, solver_name) \
+        if schedule else [solvers.solve(spec, solver_name, opts)]
     final = reports[-1]
     wall = time.perf_counter() - start
     record = result_record(cfg, gs, model, final, wall)

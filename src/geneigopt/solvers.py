@@ -12,8 +12,8 @@ Three routes to a minimizer:
   convex sublevel set {x : alpha*B(x) - A(x) >= 0} by minimizing the maximum
   eigenvalue of the affine map A(x) - alpha*B(x) over the feasible set.
 
-An epsilon-continuation driver chains solves over a decreasing epsilon
-schedule, warm starting each from the last.
+``solve`` runs one by name; ``eps_continuation`` chains solves of any over a
+decreasing epsilon schedule, warm starting each from the last.
 """
 
 from __future__ import annotations
@@ -290,8 +290,8 @@ def _sublevel_feasible(pencil: AffinePencil, fs: FeasibleSet,
     return best_h <= slack, best_x, best_h
 
 
-def bisection_global(spec: ProblemSpec,
-                     opts: SolverOptions = SolverOptions()) -> SolveReport:
+def bisection_global(spec: ProblemSpec, opts: SolverOptions = SolverOptions(),
+                     x0=None) -> SolveReport:
     """Global solve of the quasiconvex problem by bisection on the level.
 
     A level alpha is feasible iff some feasible x satisfies
@@ -299,8 +299,8 @@ def bisection_global(spec: ProblemSpec,
     lmax(A(x) - alpha * B(x)) is (numerically) nonpositive.  Requires affine
     pencils; returns the smallest feasible level found and its witness.
 
-    A short regularized subgradient solve provides the initial witness and
-    upper level; starting the feasibility searches near an optimizer
+    A short regularized subgradient solve from x0 gives the initial witness
+    and upper level; starting the feasibility searches near an optimizer
     matters on larger instances, where the convex search from a cold start
     can fail to certify feasible levels.
     """
@@ -308,7 +308,7 @@ def bisection_global(spec: ProblemSpec,
     fs = spec.feasible
 
     warm = projected_subgradient(
-        replace(spec, eps=max(spec.eps, 1e-6)), None,
+        replace(spec, eps=max(spec.eps, 1e-6)), x0,
         replace(opts, max_iters=min(4000, opts.max_iters)))
 
     scale_a, scale_b = pa.scale(), pb.scale(spec.eps)
@@ -374,9 +374,9 @@ def eps_continuation(spec: ProblemSpec, eps_schedule,
 
     Epsilon shifts the pencil, K(x) + eps I, when ``spec.eps > 0`` and is
     else the area floor x >= eps (``spec.feasible.lower_bound > 0``); an
-    exact spec has nothing to sweep.  Each solve warm-starts from the
-    previous solution projected into the new feasible set.  Returns one
-    report per epsilon, in schedule order.
+    exact spec has nothing to sweep.  Each ``solve(step, method)`` starts
+    from the previous solution projected into the new feasible set.
+    Returns one report per epsilon, in schedule order.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if any(e <= 0 for e in eps_schedule) or \
@@ -386,12 +386,20 @@ def eps_continuation(spec: ProblemSpec, eps_schedule,
     if not shift and spec.feasible.lower_bound <= 0:
         raise ValueError("an exact spec (eps = 0, lower bound 0) has no "
                          "regularization to sweep")
-    solve = {"subgradient": projected_subgradient,
-             "smoothed_apg": smoothed_apg}[method]
     reports = []
     for eps in eps_schedule:
         x = reports[-1].x_final if reports else None
         step = replace(spec, eps=eps) if shift else \
             replace(spec, feasible=replace(spec.feasible, lower_bound=eps))
-        reports.append(solve(step, x, opts))
+        reports.append(solve(step, method, opts, x))
     return reports
+
+
+def solve(spec: ProblemSpec, name: str = "subgradient",
+          opts: SolverOptions = SolverOptions(), x0=None) -> SolveReport:
+    """Run solver ``name`` from x0, looked up per call so a swapped one runs."""
+    named = {"subgradient": projected_subgradient,
+             "smoothed_apg": smoothed_apg, "bisection": bisection_global}
+    if name not in named:
+        raise ValueError(f"solver {name!r} is not one of {', '.join(named)}")
+    return named[name](spec, x0=x0, opts=opts)

@@ -339,9 +339,9 @@ def test_readme_commands_exist():
 @pytest.mark.parametrize("overrides, field", [
     ({"eps_schedule": [1e-3, 1e-2]}, "eps_schedule"),
     ({"eps_schedule": [1e-2, 1e-2]}, "eps_schedule"),
-    ({"eps_schedule": [1e-2, 1e-4], "solver": {"name": "bisection"}},
-     "solver/name"),
-    # an exact formulation has nothing to sweep
+    # an exact formulation has nothing to sweep, whatever the solver
+    ({"eps_schedule": [1e-2, 1e-4], "formulation": "exact", "eps": None,
+      "solver": {"name": "bisection"}}, "eps_schedule"),
     ({"eps_schedule": [1e-2, 1e-4], "formulation": "exact"}, "formulation"),
     # the schedule replaces eps: a config with both is ambiguous
     ({"eps_schedule": [1e-2, 1e-4], "eps": 0.5}, "eps"),
@@ -351,7 +351,8 @@ def test_bad_sweep_is_config_error(tmp_path, capsys, overrides, field):
     assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
     out = capsys.readouterr()
     assert "Traceback" not in out.out + out.err
-    assert f"config error: {field}" in out.err
+    assert out.err.startswith(f"config error: {field}: ")
+    assert out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("key, value", [
@@ -399,6 +400,16 @@ def test_history_eps_is_the_area_floor_without_schedule(tmp_path):
     assert rows and {float(r.split(",")[2]) for r in rows} == {1e-4}
     result = json.loads((tmp_path / "grid.result.json").read_text())
     assert min(result["report"]["x_final"]) >= 1e-4
+
+
+def test_integer_eps_is_reported_as_a_float(tmp_path):
+    # JSON reads eps 1 as an int; the result and history carry 1.0
+    path, _ = single_bar_config(tmp_path, eps=1,
+                                solver={"name": "subgradient", "max_iters": 50})
+    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+    assert '"eps_used": 1.0,' in (tmp_path / "config.result.json").read_text()
+    rows = (tmp_path / "config.history.csv").read_text().splitlines()[1:]
+    assert rows and {r.split(",")[2] for r in rows} == {"1.0"}
 
 
 def test_render_svg(tmp_path):
@@ -663,9 +674,84 @@ def example_config(tmp_path, name="truss_5x3_robust.json", **overrides):
     with open(os.path.join(here, "examples-configs", name)) as fh:
         cfg = json.load(fh)
     cfg.update(overrides)
+    cfg = {k: v for k, v in cfg.items() if v is not None}
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def test_bisection_sweeps_the_pencil_shift(tmp_path, monkeypatch):
+    # bisection along an eps_schedule: one sweep record and one bisection
+    # per eps, each warm-started from the last design
+    schedule = [1e-2, 1e-4]
+    path = example_config(tmp_path, eps=None, eps_schedule=schedule,
+                          solver={"name": "bisection"})
+    runs = []
+    original = cli.solvers.bisection_global
+
+    def bisection(spec, opts=cli.SolverOptions(), x0=None):
+        runs.append((x0, original(spec, opts, x0)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(cli.solvers, "bisection_global", bisection)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+    assert [rep.eps_used for _, rep in runs] == schedule
+    assert runs[0][0] is None and runs[1][0] is runs[0][1].x_final
+    assert all(rep.termination == "bisected" for _, rep in runs)
+    result = json.loads((tmp_path / "truss_5x3_robust.result.json").read_text())
+    sweep = result["sweep"]
+    assert [s["eps"] for s in sweep] == schedule
+    assert [s["obj_final"] for s in sweep] == [rep.obj_final for _, rep in runs]
+    # a smaller shift leaves less stiffness: the optimal compliance rises
+    assert 0 < sweep[0]["obj_final"] < sweep[1]["obj_final"]
+    history = tmp_path / "truss_5x3_robust.history.csv"
+    rows = history.read_text().splitlines()[1:]
+    assert [float(r.split(",")[2]) for r in rows] == \
+        [eps for eps, (_, rep) in zip(schedule, runs) for _ in rep.history]
+
+
+def test_bisection_sweeps_the_area_floor(tmp_path, capsys):
+    # K(1) is singular (node 1 has no y stiffness), so the first-order
+    # solvers refuse lower_bound_eps here; bisection solves each step:
+    # the one bar takes the whole volume, psi = 1 / 2
+    schedule = [1e-2, 1e-3]
+    path = example_config(tmp_path, "single_bar_robust.json", eps=None,
+                          formulation="lower_bound_eps", eps_schedule=schedule,
+                          solver={"name": "bisection"})
+    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    result = json.loads(
+        (tmp_path / "single_bar_robust.result.json").read_text())
+    assert [s["eps"] for s in result["sweep"]] == schedule
+    for record in result["sweep"]:
+        assert abs(record["obj_final"] - 0.5) <= 1e-6
+    assert result["report"]["termination"] == "bisected"
+
+
+@pytest.mark.parametrize("name", ["robust_7x4_subgrad", "eigfreq_5x3_bisect",
+                                  "eigfreq_5x3_apg"])
+def test_cli_solve_matches_the_benchmark_call(tmp_path, name):
+    # a benchmark config through ``geneigopt solve`` gives the answer of the
+    # solver call the benchmark makes on the same model
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = tmp_path / f"{name}.json"
+    shutil.copy(os.path.join(here, "bench", "configs", f"{name}.json"), path)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+    result = json.loads((tmp_path / f"{name}.result.json").read_text())
+    report = result["report"]
+    cfg = cli.load_config(str(path))
+    _, model = cli.build_from_config(cfg)
+    spec = cli.problem_from_config(cfg, model)
+    opts = cli.solver_options_from_config(cfg)
+    solver = cfg["solver"]["name"]
+    if solver == "bisection":
+        rep = cli.solvers.bisection_global(spec, opts=opts)
+    elif solver == "smoothed_apg":
+        rep = cli.solvers.smoothed_apg(spec, None, opts)
+    else:
+        rep = cli.solvers.projected_subgradient(spec, None, opts)
+    assert (report["obj_final"], report["iterations"], report["termination"]) \
+        == (rep.obj_final, rep.iterations, rep.termination)
 
 
 def test_huge_nonstructural_mass_is_typed_error(tmp_path, capsys):

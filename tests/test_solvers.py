@@ -563,6 +563,92 @@ def test_continuation_smoothed_method():
                - eps_minimizer_no_mass(0.01)[0] / (eps_minimizer_no_mass(0.01)[0] + 0.01)) <= 1e-4
 
 
+# ---------------------------------------------------------------------- entry
+
+DIRECT = {"subgradient": projected_subgradient, "smoothed_apg": smoothed_apg,
+          "bisection": bisection_global}
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT))
+def test_solve_is_the_direct_call(name):
+    # the shipped 5x3 model with a small budget: the entry adds no step
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = cli.load_config(os.path.join(here, "examples-configs",
+                                       "truss_5x3_eigenfrequency.json"))
+    _, model = cli.build_from_config(cfg)
+    spec = cli.problem_from_config(cfg, model)
+    opts = SolverOptions(max_iters=60)
+    direct = DIRECT[name](spec, opts=opts)
+    entry = solvers.solve(spec, name, opts)
+    assert entry.x_final.tobytes() == direct.x_final.tobytes()
+    assert (entry.obj_final, entry.iterations, entry.termination,
+            entry.history) == (direct.obj_final, direct.iterations,
+                               direct.termination, direct.history)
+
+
+def test_bisection_hands_x0_to_its_warm_start(monkeypatch):
+    spec = ProblemSpec(ROBUST_COMPLIANCE, robust_two_bar_model(),
+                       TWO_BAR_LE, eps=1e-2)
+    starts = []
+    original = solvers.projected_subgradient
+
+    def warm(spec, x0=None, opts=SolverOptions()):
+        starts.append(x0)
+        return original(spec, x0, opts)
+
+    monkeypatch.setattr(solvers, "projected_subgradient", warm)
+    x = np.array([1.5, 0.5])
+    bisection_global(spec, x0=x)
+    bisection_global(spec)
+    assert starts[0] is x and starts[1] is None
+
+
+def test_continuation_warm_starts_bisection(monkeypatch):
+    # each step starts from the previous step's design; the level found at
+    # each eps is the robust two-bar value 1/(2 + eps)
+    spec = ProblemSpec(ROBUST_COMPLIANCE, robust_two_bar_model(),
+                       TWO_BAR_LE, eps=0.1)
+    starts = []
+    original = solvers.bisection_global
+
+    def bisection(spec, opts=SolverOptions(), x0=None):
+        starts.append(x0)
+        return original(spec, opts, x0)
+
+    monkeypatch.setattr(solvers, "bisection_global", bisection)
+    schedule = [1e-1, 1e-2, 1e-3]
+    reps = eps_continuation(spec, schedule, method="bisection")
+    assert starts[0] is None
+    assert all(x is rep.x_final for x, rep in zip(starts[1:], reps))
+    for eps, rep in zip(schedule, reps):
+        assert rep.termination == "bisected"
+        assert abs(rep.obj_final - 1.0 / (2.0 + eps)) <= 1e-6
+
+
+def test_solve_rejects_an_unknown_name():
+    spec = ProblemSpec(ROBUST_COMPLIANCE, robust_two_bar_model(),
+                       TWO_BAR_LE, eps=0.1)
+    with pytest.raises(ValueError) as info:
+        solvers.solve(spec, "newton")
+    assert "'newton'" in str(info.value)
+    for name in DIRECT:
+        assert name in str(info.value)
+
+
+def test_solver_schema_names_what_solve_accepts(monkeypatch):
+    # each name the config schema allows runs its solver, looked up when
+    # solve is called, and the names solve lists are exactly those
+    for name in ("projected_subgradient", "smoothed_apg", "bisection_global"):
+        monkeypatch.setattr(solvers, name,
+                            lambda spec, x0=None, opts=None, _n=name: _n)
+    names = cli._SOLVER_SCHEMA["properties"]["name"]["enum"]
+    assert [solvers.solve(None, name) for name in names] == \
+        [DIRECT[name].__name__ for name in names]
+    with pytest.raises(ValueError) as info:
+        solvers.solve(None, "newton")
+    assert set(str(info.value).split(" one of ")[1].split(", ")) == set(names)
+
+
 # ------------------------------------------------------------------- reporting
 
 def test_active_bar_count():
