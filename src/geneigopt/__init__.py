@@ -8,7 +8,6 @@ from .geneig import (
     lambda_max_eps,
     lambda_max_ext,
     lambda_min_ext,
-    rayleigh_sup_oracle,
     smoothed_value_grad,
 )
 from .problems import (

@@ -31,10 +31,6 @@ class OutOfDomain(GenEigError):
     """Design vector has negative components."""
 
 
-class DegeneratePair(GenEigError):
-    """Sampling oracle called with an (effectively) zero denominator matrix."""
-
-
 class NoFreeDofs(GenEigError):
     """Every degree of freedom of the ground structure is restrained."""
 

@@ -26,7 +26,6 @@ from scipy.linalg import lapack
 
 from . import symmat
 from .errors import (
-    DegeneratePair,
     InvalidEpsilon,
     InvalidMatrix,
     InvalidSmoothing,
@@ -34,7 +33,7 @@ from .errors import (
     OutOfDomain,
     SingularDenominator,
 )
-from .symmat import KERNEL_TOL, PSD_TOL, as_symmetric
+from .symmat import KERNEL_TOL, as_symmetric
 
 
 class Certificate(enum.Enum):
@@ -275,24 +274,6 @@ def lambda_max_eps(x, y, eps: float) -> GenEigResult:
                                   f"definite at eps = {eps}: {exc}") from None
     return GenEigResult(max(float(w[0]), 0.0), vecs[:, 0],
                         Certificate.REDUCED_PENCIL)
-
-
-def rayleigh_sup_oracle(x, y, samples: int, seed: int) -> float:
-    """Sampled lower bound on the supremum of the generalized Rayleigh quotient.
-
-    Draws ``samples`` random unit vectors, rejects those (numerically) in the
-    kernel of Y, and returns the best quotient seen.  Deterministic given the
-    seed, and always at most the exact extended value.
-    """
-    a, b = _require_psd_pair(x, y)
-    if float(np.max(np.abs(b))) <= PSD_TOL:
-        raise DegeneratePair("denominator matrix is zero")
-    vs = np.random.default_rng(seed).standard_normal((samples, a.shape[0]))
-    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-    num = np.einsum("ij,jk,ik->i", vs, a, vs)
-    den = np.einsum("ij,jk,ik->i", vs, b, vs)
-    keep = den > KERNEL_TOL
-    return float(np.max(num[keep] / den[keep], initial=0.0))
 
 
 def _top_pair(c: np.ndarray):

@@ -11,7 +11,6 @@ import scipy.linalg
 
 from geneigopt import cli, geneig, solvers, symmat, verify
 from geneigopt.errors import (
-    DegeneratePair,
     EmptyFeasibleSet,
     InvalidEpsilon,
     InvalidMatrix,
@@ -27,7 +26,6 @@ from geneigopt.geneig import (
     lambda_max_eps,
     lambda_max_ext,
     lambda_min_ext,
-    rayleigh_sup_oracle,
     smoothed_value_grad,
 )
 from geneigopt.problems import (
@@ -76,8 +74,17 @@ def test_lambda_max_nonzero_over_zero_is_inf():
 
 
 def test_lambda_max_kernel_escape():
-    r = lambda_max_ext(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    assert math.isinf(r.value)
+    # in the second pair Y's kernel direction (-sin t, cos t) leaves X's
+    # kernel by only 3.3 sin t, about 2e-3: alpha*Y - X is never PSD, yet
+    # eigh's rounding on alpha*Y calls it PSD near alpha = 2.5e10, past the
+    # level where the membership oracle must answer +inf
+    t = 6e-4
+    b = np.array([math.cos(t), math.sin(t)])
+    for x, y in ((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                 (np.diag([3.3, 0.0]), 4.0 * np.outer(b, b))):
+        r = lambda_max_ext(x, y)
+        assert r.value == math.inf and r.certificate is Certificate.KERNEL_ESCAPE
+        assert verify.lambda_max_by_membership(x, y) == math.inf
 
 
 def test_lambda_max_common_kernel_reduces():
@@ -357,6 +364,15 @@ def test_lambda_max_matches_membership_oracle():
             assert abs(exact - oracle) <= 1e-8 * (1.0 + abs(oracle))
 
 
+@pytest.mark.parametrize("seed", [16, 24, 42, 68, 72])
+def test_suite_geneig_passes_on_slight_kernel_escapes(seed):
+    results = verify.suite_geneig(seed)
+    assert [r["name"] for r in results] == [
+        "definition_equivalence", "eps_monotonicity", "reciprocal_identity",
+        "pointwise_convergence"]
+    assert all(r["passed"] for r in results), results
+
+
 def test_lambda_max_quasiconvex_along_segments():
     # the value along x -> lmax(A, B0 + x*B1) style segments never exceeds
     # the max of the endpoints (quotient maximand is quasiconvex in the pair)
@@ -476,32 +492,6 @@ def test_eps_monotone_and_convergent():
         else:
             # blows up like c / eps
             assert vals[-1] * 1e-9 > 1e-12
-
-
-# ------------------------------------------------------------------- oracle
-
-def test_rayleigh_oracle_examples():
-    v = rayleigh_sup_oracle(np.diag([1.0, 2.0]), np.eye(2), 10_000, 0)
-    assert 2.0 - 1e-2 <= v <= 2.0
-    v = rayleigh_sup_oracle(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]), 1000, 1)
-    assert abs(v - 0.5) < 1e-12
-    v = rayleigh_sup_oracle(np.eye(3), np.eye(3), 10, 2)
-    assert abs(v - 1.0) < 1e-14
-
-
-def test_rayleigh_oracle_never_exceeds_exact():
-    rng = np.random.default_rng(9)
-    for i in range(25):
-        x, y = verify.random_psd_pair(rng, 4, zero_prob=0.0)
-        exact = lambda_max_ext(x, y).value
-        v = rayleigh_sup_oracle(x, y, 2000, i)
-        if math.isfinite(exact):
-            assert v <= exact + 1e-9
-
-
-def test_rayleigh_oracle_rejects_zero_denominator():
-    with pytest.raises(DegeneratePair):
-        rayleigh_sup_oracle(np.eye(2), np.zeros((2, 2)), 100, 0)
 
 
 # -------------------------------------------------------------------- pencil
