@@ -264,47 +264,46 @@ def result_record(cfg: dict, gs, model, report, wall_time: float) -> dict:
     }
 
 
-def _require_output_path(path: str, field: str):
-    """Fail before the solve, not at write time, on an empty path, an
-    existing directory or a missing parent directory."""
-    if not path or os.path.isdir(path):
-        raise ConfigError(f"{field}: {path!r} is not a file path", field=field)
-    parent = os.path.dirname(path) or os.curdir
-    if not os.path.isdir(parent):
-        raise ConfigError(f"{field}: directory {parent} does not exist",
-                          field=field)
-
-
-def _output_paths(cfg: dict, config_path: str) -> dict:
-    """Checked output paths by key: result and history (defaults next to
-    the config) and, if asked for, svg; no two are one file or the config."""
-    base, _ = os.path.splitext(config_path)
-    paths = {"result": base + ".result.json", "history": base + ".history.csv",
-             **cfg.get("output", {})}
-    taken = {os.path.realpath(config_path): "the config"}
-    for key, path in paths.items():
-        field = f"output/{key}"
-        _require_output_path(path, field)
+def _output_paths(paths: dict, source: str, what: str) -> dict:
+    """Check outputs (field -> path) before any work: each is a file path in
+    an existing directory, no two are one file, none is ``source`` (``what``
+    was read from it) and only output/result replaces a file holding JSON."""
+    taken = {os.path.realpath(source): what}
+    for field, path in paths.items():
+        if not path or os.path.isdir(path):
+            raise ConfigError(f"{field}: {path!r} is not a file path", field)
+        parent = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(parent):
+            raise ConfigError(f"{field}: directory {parent} does not exist",
+                              field)
         other = taken.setdefault(os.path.realpath(path), field)
         if other != field:
-            raise ConfigError(f"{field}: same file as {other}", field=field)
+            raise ConfigError(f"{field}: same file as {other}", field)
+        # output/result replaces a result; a FIFO or a device is never read
+        if field != "output/result" and os.path.isfile(path):
+            try:
+                _read_json(path, field)
+            except ConfigError:
+                continue  # not JSON: an earlier SVG, say, is replaced
+            kind = "a CSV" if field == "output/history" else "an SVG"
+            raise ConfigError(f"{field}: {path} is JSON, not {kind}", field)
     return paths
 
 
 def _write_result(record: dict, runs, paths: dict):
     """Write the result, the history of each (report, eps) run and the SVG."""
     try:
-        with open(paths["result"], "w") as fh:
+        with open(paths["output/result"], "w") as fh:
             json.dump(record, fh, indent=2)
             fh.write("\n")
-        with open(paths["history"], "w", newline="") as fh:
+        with open(paths["output/history"], "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iter", "objective", "eps"])
             for rep, eps in runs:
                 for it, obj in rep.history:
                     writer.writerow([it, repr(obj), eps])
-        if "svg" in paths:
-            render_svg(record, paths["svg"])
+        if "output/svg" in paths:
+            render_svg(record, paths["output/svg"])
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}")
 
@@ -358,7 +357,10 @@ def render_svg(result: dict, out_path: str,
 
 
 def _dispatch_solve(cfg: dict, config_path: str) -> int:
-    paths = _output_paths(cfg, config_path)
+    base, _ = os.path.splitext(config_path)
+    paths = _output_paths({f"output/{key}": path for key, path in {
+        "result": base + ".result.json", "history": base + ".history.csv",
+        **cfg.get("output", {})}.items()}, config_path, "the config")
     solver_name = cfg.get("solver", {}).get("name", "subgradient")
     schedule = cfg.get("eps_schedule")
     if schedule and any(b >= a for a, b in zip(schedule, schedule[1:])):
@@ -401,7 +403,7 @@ def _dispatch_solve(cfg: dict, config_path: str) -> int:
             for eps, r in zip(eps_values, reports)
         ]
     _write_result(record, zip(reports, eps_values), paths)
-    print(f"wrote {paths['result']}  (objective {final.obj_final:.6g}, "
+    print(f"wrote {paths['output/result']}  (objective {final.obj_final:.6g}, "
           f"{final.active_bars}/{model.m} active bars)")
     return EXIT_OK
 
@@ -429,16 +431,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--threshold: must be nonnegative and finite")
             result = _read_json(args.result, "result")
             out = args.out or os.path.splitext(args.result)[0] + ".svg"
-            _require_output_path(out, "-o")
-            if os.path.realpath(out) == os.path.realpath(args.result):
-                raise ConfigError("-o: same file as the result", field="-o")
-            if os.path.isfile(out):  # a FIFO or a device is never read
-                try:
-                    _read_json(out, "-o")
-                except ConfigError:
-                    pass  # not JSON: an earlier SVG, say, is replaced
-                else:
-                    raise ConfigError(f"-o: {out} is JSON, not an SVG", "-o")
+            _output_paths({"-o": out}, args.result, "the result")
             try:
                 render_svg(result, out, args.threshold)
             except (KeyError, TypeError, IndexError, ValueError) as exc:

@@ -86,11 +86,8 @@ class ProblemSpec:
         """Pencils (A, B) such that the objective is lmax(A(x), B(x) [+ eps I])."""
         model = self.model
         if self.kind == ROBUST_COMPLIANCE:
-            q = model.q_matrix
-            with np.errstate(over="ignore"):  # +inf is InvalidMatrix below
-                qq = q @ q.T
-            a = AffinePencil(qq, model.k_pencil.nvars)
-            return a, model.k_pencil
+            return (AffinePencil(_qqt(model), model.k_pencil.nvars),
+                    model.k_pencil)
         return model.m_pencil, model.k_pencil
 
 
@@ -118,16 +115,20 @@ class PencilModel:
         return self.k_pencil.nvars
 
 
+def _qqt(model) -> np.ndarray:
+    """QQ' of the load weights; an overflow is +inf, an InvalidMatrix later."""
+    with np.errstate(over="ignore"):  # not numpy's RuntimeWarning
+        return model.q_matrix @ model.q_matrix.T
+
+
 def psi_exact(model, x) -> float:
     """Extended robust compliance lmax(QQ', K(x)); +inf off the solvable set."""
-    q = model.q_matrix
-    return geneig.lambda_max_ext(q @ q.T, model.k_pencil(x)).value
+    return geneig.lambda_max_ext(_qqt(model), model.k_pencil(x)).value
 
 
 def psi_eps(model, x, eps: float) -> float:
     """Regularized robust compliance lmax(QQ', K(x) + eps*I)."""
-    q = model.q_matrix
-    return geneig.lambda_max_eps(q @ q.T, model.k_pencil(x), eps).value
+    return geneig.lambda_max_eps(_qqt(model), model.k_pencil(x), eps).value
 
 
 def phi_exact(model, x) -> float:

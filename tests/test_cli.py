@@ -535,6 +535,48 @@ def test_outputs_that_name_one_file_are_config_error(
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
+@pytest.mark.parametrize("key, kind", [("svg", "an SVG"),
+                                       ("history", "a CSV")])
+def test_solve_never_replaces_json_with_svg_or_csv(
+        tmp_path, capsys, monkeypatch, key, kind):
+    # output/svg and output/history follow render's -o rule: an existing
+    # file holding JSON (here another config) stays as it was
+    other = tmp_path / "other.json"
+    path, cfg = single_bar_config(tmp_path, output={key: str(other)})
+    other.write_text(json.dumps(cfg))
+    before = other.read_bytes()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the model was built or a solver ran")
+
+    monkeypatch.setattr(cli, "build_from_config", no_run)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert out.err == \
+        f"config error: output/{key}: {other} is JSON, not {kind}\n"
+    assert other.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "other.json"]
+
+
+def test_solve_writes_its_svg_output(tmp_path):
+    # an earlier file that is not JSON is replaced by the design's SVG
+    svg = tmp_path / "design.svg"
+    svg.write_text("<svg/>")
+    path, _ = single_bar_config(tmp_path, output={"svg": str(svg)})
+    assert cli.main(["solve", str(path)]) == cli.EXIT_OK
+    root = ET.parse(svg).getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    assert root.tag == f"{ns}svg"
+    assert len(root.findall(f"{ns}line")) == 1
+    assert len(root.findall(f"{ns}circle")) == 2
+
+
+def test_config_nodes_need_bars(tmp_path, capsys):
+    path, _ = single_bar_config(tmp_path, bars=None)
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: 'nodes' requires 'bars'\n"
+
+
 def test_render_to_a_directory_is_config_error(tmp_path, capsys):
     path, _ = two_bar_grid_config(tmp_path)
     assert cli.main(["solve", str(path)]) == cli.EXIT_OK

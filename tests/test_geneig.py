@@ -106,6 +106,13 @@ def test_lambda_max_rejects_indefinite():
         lambda_max_ext([[1.0, 2.0], [2.0, 1.0]], np.eye(2))
     with pytest.raises(NotPositiveSemidefinite):
         lambda_max_ext(np.eye(2), [[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(NotPositiveSemidefinite,
+                       match="^second matrix is not PSD$"):
+        lambda_max_eps(np.eye(2), [[1.0, 2.0], [2.0, 1.0]], 0.1)
+    for fn in (lambda_max_ext, lambda x, y: lambda_max_eps(x, y, 0.1)):
+        with pytest.raises(ValueError,
+                           match="^matrix pair must share one dimension$"):
+            fn(np.eye(2), np.eye(3))
 
 
 def record_solver_calls(monkeypatch):

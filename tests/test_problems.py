@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geneigopt import problems, truss
-from geneigopt.errors import EmptyFeasibleSet
+from geneigopt.errors import EmptyFeasibleSet, InvalidMatrix
 from geneigopt.problems import (
     EIGENFREQUENCY,
     ROBUST_COMPLIANCE,
@@ -89,6 +89,19 @@ def test_psi_load_scaling_is_quadratic():
     m2 = robust_two_bar_model(load_scale=2.0)
     x = [1.5, 0.7]
     assert abs(psi_exact(m2, x) - 4.0 * psi_exact(m1, x)) < 1e-10
+
+
+@pytest.mark.parametrize("objective", [
+    lambda model: psi_exact(model, [1.0, 1.0]),
+    lambda model: psi_eps(model, [1.0, 1.0], 1e-6),
+    lambda model: ProblemSpec(ROBUST_COMPLIANCE, model, FeasibleSet(
+        l=np.ones(2), v0=2.0)).objective_pencils(),
+], ids=["psi_exact", "psi_eps", "objective_pencils"])
+def test_overflowing_load_is_invalid_matrix(objective):
+    # QQ' overflows to +inf: a typed error, not numpy's RuntimeWarning
+    # (pyproject.toml's filterwarnings makes that warning an error)
+    with pytest.raises(InvalidMatrix):
+        objective(robust_two_bar_model(load_scale=1e200))
 
 
 # ------------------------------------------------------------- eigenfrequency

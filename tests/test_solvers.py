@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from geneigopt import cli, geneig, problems, solvers, truss
+from geneigopt import cli, geneig, problems, solvers, truss, verify
 from geneigopt.errors import BracketError, InvalidMatrix
 from geneigopt.geneig import AffinePencil
 from geneigopt.problems import (
@@ -202,6 +202,29 @@ def test_projection_kkt():
         tol = 1e-12 * (1.0 + np.abs(y))
         assert np.all(np.abs(p - (y - tau * fs.l))[free] <= tol[free])
         assert np.all((y - tau * fs.l)[~free] <= lb + tol[~free])
+
+
+def test_verify_certifies_the_projection(monkeypatch):
+    # a feasible design 1e-4 from the projection, moved along the volume
+    # face, is farther from y than the projection and nearer than almost
+    # every sampled face point; verify's KKT certificate rejects it
+    exact = solvers.project_feasible
+
+    def moved(y, fs):
+        p = exact(y, fs)
+        i, j = np.argsort(p)[-2:]  # the largest entry j gives way to i
+        if p[j] < 1e-3:  # p = 0: no move stays in F
+            return p
+        d = np.zeros_like(p)
+        d[i], d[j] = fs.l[j], -fs.l[i]  # l'd = 0: the volume is kept
+        p = p + 1e-4 * d / np.linalg.norm(d)
+        assert fs.contains(p)
+        return p
+
+    assert all(r["passed"] for r in verify.suite_solvers(0))
+    monkeypatch.setattr(solvers, "project_feasible", moved)
+    checks = {r["name"]: r["passed"] for r in verify.suite_solvers(0)}
+    assert checks["projection_optimality"] is False
 
 
 # ----------------------------------------------------------- subgradient solve

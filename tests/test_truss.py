@@ -119,6 +119,8 @@ def test_grid_sizes():
     gs = generate_ground_structure(3, 3, 1.0)
     assert gs.n_bars == 28
     assert np.array_equal(gs.bars, count_bars_by_enumeration(gs.nodes))
+    with pytest.raises(ValueError, match="at least two nodes"):
+        generate_ground_structure(1, 1, 1.0)
 
 
 def test_grid_node_numbering():
@@ -524,6 +526,8 @@ def test_load_matrix_columns():
     cols = np.nonzero(q)[0]
     assert len(cols) == 2
     assert np.allclose(q[q != 0], 2.5)
+    with pytest.raises(ValueError, match="load_dims must be 1 or 2"):
+        build_model(gs, Material(), load, load_dims=3)
 
 
 def test_load_on_fixed_node_rejected():
