@@ -28,7 +28,7 @@ import xml.etree.ElementTree as ET
 import jsonschema
 import numpy as np
 
-from . import __version__, problems, solvers, truss, verify
+from . import __version__, problems, solvers, symmat, truss, verify
 from .errors import (BracketError, ConfigError, GenEigError, InvalidBar,
                      InvalidMatrix)
 from .problems import FeasibleSet, ProblemSpec
@@ -378,12 +378,11 @@ def _dispatch_solve(cfg: dict, config_path: str) -> int:
         raise ConfigError(f"{key}: formulation exact has no eps", field=key)
     gs, model = build_from_config(cfg)
     if solver_name != "bisection" and \
-            cfg.get("formulation") == FORM_LOWER_BOUND_EPS:
-        try:  # K(x) for x > 0 has the kernel of K(1): no area floor helps
-            np.linalg.cholesky(model.k_pencil(np.ones(model.m)))
-        except np.linalg.LinAlgError:
-            raise ConfigError(f"formulation: lower_bound_eps with {solver_name}"
-                              " needs K(x) > 0; use pencil_eps", "formulation")
+            cfg.get("formulation") == FORM_LOWER_BOUND_EPS and \
+            symmat.kernel_basis(model.k_pencil(np.ones(model.m))).size:
+        # K(x) for x > 0 has the kernel of K(1): no area floor helps
+        raise ConfigError(f"formulation: lower_bound_eps with {solver_name} "
+                          "needs K(x) > 0; use pencil_eps", "formulation")
     opts = solver_options_from_config(cfg)
     spec = problem_from_config(cfg, model)
     # the formulation's eps: the pencil shift, else the area floor

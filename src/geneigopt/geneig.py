@@ -233,7 +233,8 @@ def lambda_max_ext(x, y) -> GenEigResult:
     if k:
         r = symmat.kernel_complement(u)
         a, b = r.T @ a @ r, r.T @ b @ r
-    w, z = scipy.linalg.eigh(a, b, subset_by_index=[n - k - 1] * 2)
+    w, z = scipy.linalg.eigh(a, b, subset_by_index=[n - k - 1] * 2,  # own copies
+                             overwrite_a=True, overwrite_b=True, check_finite=False)
     return GenEigResult(max(float(w[0]), 0.0), r @ z[:, 0] if k else z[:, 0],
                         Certificate.REDUCED_PENCIL)
 
@@ -261,18 +262,20 @@ def _require_positive(value: float, name: str, error: type):
 
 
 def lambda_max_eps(x, y, eps: float) -> GenEigResult:
-    """Top eigenpair, alone, of the regularized definite pencil
-    (X, Y + eps*I); the eigenvector v has v'(Y + eps*I)v = 1."""
+    """Top eigenpair, alone, of the definite pencil (X, Y + eps*I) by
+    LAPACK's dsygvx; the eigenvector v has v'(Y + eps*I)v = 1."""
     _require_positive(eps, "eps", InvalidEpsilon)
     a, b = _require_psd_pair(x, y)
     n = a.shape[0]
-    try:  # Y within PSD_TOL of PSD may leave Y + eps*I indefinite
-        w, vecs = scipy.linalg.eigh(a, b + eps * np.eye(n),
-                                    subset_by_index=[n - 1, n - 1])
-    except np.linalg.LinAlgError as exc:
+    b.flat[::n + 1] += eps  # Y within PSD_TOL of PSD may stay indefinite
+    w, v, _, _, info = lapack.dsygvx(a.T, b.T, range="I", il=n, iu=n,
+                                     overwrite_a=1, overwrite_b=1)
+    if info > n:  # as in _pencil_eigh: the Cholesky factorization failed
         raise SingularDenominator(f"denominator + eps*I is not positive "
-                                  f"definite at eps = {eps}: {exc}") from None
-    return GenEigResult(max(float(w[0]), 0.0), vecs[:, 0],
+                                  f"definite at eps = {eps}")
+    if info:
+        raise InvalidMatrix(f"LAPACK dsygvx failed with info = {info}")
+    return GenEigResult(max(float(w[0]), 0.0), v[:, 0],
                         Certificate.REDUCED_PENCIL)
 
 
@@ -286,10 +289,9 @@ def _top_pair(c: np.ndarray):
     return w[:1], v
 
 
-def _pencil_eigh(pa: AffinePencil, pb: AffinePencil, x, eps: float):
-    """All eigenpairs (ascending) of (A(x), B(x) + eps*I) by LAPACK's dsygvd:
-    every pencil evaluation's one eigensolve and one domain check (x >= 0,
-    eps >= 0, each finite).  eps = 0 needs B(x) positive definite."""
+def _pencil_pair(pa: AffinePencil, pb: AffinePencil, x, eps: float):
+    """(A(x), B(x) + eps*I) after every pencil evaluation's one domain
+    check: x >= 0 and eps >= 0, each finite, and neither matrix overflows."""
     x = np.asarray(x, dtype=float)
     if not np.all((0 <= x) & (x < math.inf)):
         raise OutOfDomain("design vector must be finite and nonnegative")
@@ -299,6 +301,13 @@ def _pencil_eigh(pa: AffinePencil, pb: AffinePencil, x, eps: float):
         a, b = pa(x), pb(x) + eps * np.eye(pa.dim)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidMatrix("A(x) or B(x) overflows at this design vector")
+    return a, b
+
+
+def _pencil_eigh(pa: AffinePencil, pb: AffinePencil, x, eps: float):
+    """All eigenpairs (ascending) of ``_pencil_pair`` by LAPACK's dsygvd;
+    eps = 0 needs B(x) positive definite."""
+    a, b = _pencil_pair(pa, pb, x, eps)
     # a.T, b.T: the same symmetric numbers, Fortran-ordered for the wrapper
     w, v, info = lapack.dsygvd(a.T, b.T, itype=1, jobz="V", uplo="L")
     if info > pa.dim:  # the Cholesky factorization of B(x) + eps*I failed

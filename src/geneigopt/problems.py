@@ -84,11 +84,7 @@ class ProblemSpec:
 
     def objective_pencils(self) -> tuple[AffinePencil, AffinePencil]:
         """Pencils (A, B) such that the objective is lmax(A(x), B(x) [+ eps I])."""
-        model = self.model
-        if self.kind == ROBUST_COMPLIANCE:
-            return (AffinePencil(_qqt(model), model.k_pencil.nvars),
-                    model.k_pencil)
-        return model.m_pencil, model.k_pencil
+        return _objective_pencils(self.kind, self.model)
 
 
 @dataclass(frozen=True)
@@ -115,20 +111,27 @@ class PencilModel:
         return self.k_pencil.nvars
 
 
-def _qqt(model) -> np.ndarray:
-    """QQ' of the load weights; an overflow is +inf, an InvalidMatrix later."""
-    with np.errstate(over="ignore"):  # not numpy's RuntimeWarning
-        return model.q_matrix @ model.q_matrix.T
+def _objective_pencils(kind: str, model) -> tuple[AffinePencil, AffinePencil]:
+    if kind == EIGENFREQUENCY:
+        return model.m_pencil, model.k_pencil
+    with np.errstate(over="ignore"):  # +inf, then AffinePencil's InvalidMatrix
+        qqt = model.q_matrix @ model.q_matrix.T
+    return AffinePencil(qqt, model.k_pencil.nvars), model.k_pencil
+
+
+def _pair(kind: str, model, x):
+    """``geneig._pencil_pair`` of the ``kind`` objective's pencils at x."""
+    return geneig._pencil_pair(*_objective_pencils(kind, model), x, 0.0)
 
 
 def psi_exact(model, x) -> float:
     """Extended robust compliance lmax(QQ', K(x)); +inf off the solvable set."""
-    return geneig.lambda_max_ext(_qqt(model), model.k_pencil(x)).value
+    return geneig.lambda_max_ext(*_pair(ROBUST_COMPLIANCE, model, x)).value
 
 
 def psi_eps(model, x, eps: float) -> float:
     """Regularized robust compliance lmax(QQ', K(x) + eps*I)."""
-    return geneig.lambda_max_eps(_qqt(model), model.k_pencil(x), eps).value
+    return geneig.lambda_max_eps(*_pair(ROBUST_COMPLIANCE, model, x), eps).value
 
 
 def phi_exact(model, x) -> float:
@@ -137,12 +140,12 @@ def phi_exact(model, x) -> float:
     At x = 0 the value is +inf with a non-structural mass and 0 without one
     (K(0) = 0, so ``lambda_max_ext`` sees a zero or kernel-escape pair).
     """
-    return geneig.lambda_max_ext(model.m_pencil(x), model.k_pencil(x)).value
+    return geneig.lambda_max_ext(*_pair(EIGENFREQUENCY, model, x)).value
 
 
 def phi_eps(model, x, eps: float) -> float:
     """Regularized eigenfrequency objective lmax(M(x), K(x) + eps*I)."""
-    return geneig.lambda_max_eps(model.m_pencil(x), model.k_pencil(x), eps).value
+    return geneig.lambda_max_eps(*_pair(EIGENFREQUENCY, model, x), eps).value
 
 
 def _diag_pencil(coeff_diags, constant_diag=None) -> AffinePencil:

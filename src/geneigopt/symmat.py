@@ -9,6 +9,7 @@ the problem data.  Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import InvalidMatrix, NotPositiveSemidefinite
@@ -36,7 +37,7 @@ def _finite_symmetric(x) -> np.ndarray:
 
 def is_psd(x) -> bool:
     """Test ``x >= 0`` (in the semidefinite order): ``lambda_min >= -t``,
-    t = ``PSD_TOL * (1 + max|entry|)``, decided by a Cholesky factorization
+    t = ``PSD_TOL * (1 + max|entry|)``, decided by LAPACK's Cholesky dpotrf
     of ``x + t*I``.  Within about ``n * roundoff * ||x||`` of ``-t``
     rounding decides."""
     return _is_psd_symmetric(_finite_symmetric(x))
@@ -44,17 +45,14 @@ def is_psd(x) -> bool:
 
 def _is_psd_symmetric(a: np.ndarray) -> bool:
     """``is_psd`` of a matrix already symmetric and finite."""
-    shift = PSD_TOL * (1.0 + float(np.max(np.abs(a))))
-    try:
-        np.linalg.cholesky(a + shift * np.eye(a.shape[0]))
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    c = a.copy(order="F")  # dpotrf factors it in place
+    c.flat[::c.shape[0] + 1] += PSD_TOL * (1.0 + float(np.max(np.abs(a))))
+    return lapack.dpotrf(c, lower=1, clean=0, overwrite_a=1)[1] == 0
 
 
 def kernel_complement(u: np.ndarray) -> np.ndarray:
     """Orthonormal complement of ``u``'s columns by a complete QR, O(n²k)."""
-    return np.linalg.qr(u, mode="complete")[0][:, u.shape[1]:]
+    return scipy.linalg.qr(u, check_finite=False)[0][:, u.shape[1]:]
 
 
 def kernel_basis(x) -> np.ndarray:

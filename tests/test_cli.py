@@ -869,7 +869,7 @@ def test_exact_formulation_with_eps_is_config_error(tmp_path, capsys,
 def test_lower_bound_on_a_stiffness_free_dof_is_typed_error(
         tmp_path, capsys, monkeypatch, solver):
     # node 1's y DOF has no stiffness at any design, so no area floor keeps
-    # K(x) definite: one Cholesky of K(1) rejects it before a solver runs
+    # K(x) definite: the kernel of K(1) rejects it before a solver runs
     path = example_config(tmp_path, "single_bar_robust.json",
                           formulation="lower_bound_eps", eps=1e-4,
                           solver={"name": solver})
@@ -883,6 +883,23 @@ def test_lower_bound_on_a_stiffness_free_dof_is_typed_error(
     assert (f"config error: formulation: lower_bound_eps with {solver} "
             f"needs K(x) > 0") in out.err
     assert ran == []
+
+
+def test_lower_bound_near_a_mechanism_is_typed_error(tmp_path, capsys):
+    # both bars reach node 2 almost along x: K(1)'s y eigenvalue, 8.3e-12,
+    # passes a Cholesky but lies below KERNEL_TOL, so the guard refuses
+    # the K(1) that symmat.kernel_basis calls singular
+    path = example_config(
+        tmp_path, "single_bar_robust.json",
+        nodes=[[0.0, 0.0], [1.0, 0.0], [2.0, 1e-5]], bars=[[0, 2], [1, 2]],
+        fixed_nodes=[{"node": 0, "dirs": "xy"}, {"node": 1, "dirs": "xy"}],
+        load_node={"node": 2}, formulation="lower_bound_eps", eps=1e-4,
+        solver={"name": "subgradient"})
+    assert cli.main(["solve", str(path)]) == cli.EXIT_CONFIG
+    out = capsys.readouterr()
+    assert "Traceback" not in out.out + out.err
+    assert out.err == ("config error: formulation: lower_bound_eps with "
+                       "subgradient needs K(x) > 0; use pencil_eps\n")
 
 
 def test_overflowing_load_is_typed_error(tmp_path, capsys):

@@ -116,24 +116,30 @@ def test_lambda_max_rejects_indefinite():
 
 
 def record_solver_calls(monkeypatch):
-    """Patch the eigensolvers and Cholesky; returns the list of calls made,
-    each as (function name, first argument, ``subset_by_index``, or for
-    LAPACK's dsyevr, as ``symmat`` calls it, its ``range``)."""
+    """Patch the eigensolvers and Cholesky factorizations, numpy's too;
+    returns the list of calls made, each as (function name, a copy of its
+    first argument taken before the call, its keyword arguments)."""
     calls = []
 
     def recording(name, fn):
         def wrapped(a, *args, **kwargs):
-            calls.append((name, np.asarray(a), kwargs.get(
-                "subset_by_index", kwargs.get("range"))))
+            calls.append((name, np.array(a), kwargs))
             return fn(a, *args, **kwargs)
         return wrapped
 
     for owner, name in [(np.linalg, "cholesky"), (np.linalg, "eigh"),
                         (np.linalg, "eigvalsh"), (scipy.linalg, "cholesky"),
-                        (scipy.linalg, "eigh"), (symmat.lapack, "dsyevr")]:
+                        (scipy.linalg, "eigh"), (symmat.lapack, "dpotrf"),
+                        (symmat.lapack, "dsyevr"), (symmat.lapack, "dsygvx")]:
         monkeypatch.setattr(owner, name, recording(
             f"{owner.__name__}.{name}", getattr(owner, name)))
     return calls
+
+
+def subsets(calls):
+    """(name, ``subset_by_index`` or LAPACK's ``range``) of each call."""
+    return [(name, kw.get("subset_by_index", kw.get("range")))
+            for name, _, kw in calls]
 
 
 def rank_four_pair():
@@ -154,11 +160,11 @@ def test_extended_values_decompose_y_once(monkeypatch, fn):
     x, y = rank_four_pair()
     calls = record_solver_calls(monkeypatch)
     fn(x, y)
-    # one Cholesky of X + t*I (the PSD check), one value-range dsyevr of Y
-    # for its kernel alone (no full eigh), then only the top eigenvalue of
-    # the pencil reduced to Y's 4-dim range
-    assert [(name, subset) for name, _, subset in calls] == [
-        ("numpy.linalg.cholesky", None), ("scipy.linalg.lapack.dsyevr", "V"),
+    # one LAPACK Cholesky of X + t*I (the PSD check), one value-range dsyevr
+    # of Y for its kernel alone (no full eigh), then only the top eigenvalue
+    # of the pencil reduced to Y's 4-dim range
+    assert subsets(calls) == [
+        ("scipy.linalg.lapack.dpotrf", None), ("scipy.linalg.lapack.dsyevr", "V"),
         ("scipy.linalg.eigh", [3, 3])]
     shift = 1e-10 * (1.0 + np.max(np.abs(x)))
     assert np.allclose(calls[0][1], x + shift * np.eye(6), rtol=0.0,
@@ -171,10 +177,13 @@ def test_lambda_max_eps_solves_top_pair_only(monkeypatch):
     x, y = rank_four_pair()
     calls = record_solver_calls(monkeypatch)
     lambda_max_eps(x, y, 1e-3)
-    # a Cholesky PSD check of each matrix, then the top generalized pair
-    assert [(name, subset) for name, _, subset in calls] == [
-        ("numpy.linalg.cholesky", None), ("numpy.linalg.cholesky", None),
-        ("scipy.linalg.eigh", [5, 5])]
+    # a LAPACK Cholesky PSD check of each matrix, then the top generalized
+    # pair alone: dsygvx for eigenvalue index n = 6 only
+    assert subsets(calls) == [
+        ("scipy.linalg.lapack.dpotrf", None),
+        ("scipy.linalg.lapack.dpotrf", None),
+        ("scipy.linalg.lapack.dsygvx", "I")]
+    assert (calls[2][2]["il"], calls[2][2]["iu"]) == (6, 6)
 
 
 @pytest.mark.parametrize("fn, count", [
@@ -1104,6 +1113,17 @@ def test_lapack_convergence_failure_is_invalid_matrix(monkeypatch):
         assert str(err.value) == (
             f"LAPACK dsygvd did not converge (info = 1): max|A(x)| = "
             f"{want[0]:.3g}, max|B(x) + eps*I| = {want[1]:.3g}")
+
+
+@pytest.mark.parametrize("info, error", [
+    (1, InvalidMatrix), (-3, InvalidMatrix), (3, SingularDenominator)])
+def test_lambda_max_eps_lapack_failure_is_typed(monkeypatch, info, error):
+    # dsygvx's info read as _pencil_eigh reads dsygvd's: n < info is a
+    # failed Cholesky factorization of Y + eps*I, any other a failed solve
+    _failing(monkeypatch, "dsygvx", info)
+    with pytest.raises(error, match="dsygvx" if error is InvalidMatrix
+                       else "not positive definite at eps = 0.001"):
+        lambda_max_eps(np.eye(2), np.eye(2), 1e-3)
 
 
 def test_level_test_lapack_failure_is_typed(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geneigopt import problems, truss
-from geneigopt.errors import EmptyFeasibleSet, InvalidMatrix
+from geneigopt.errors import EmptyFeasibleSet, InvalidMatrix, OutOfDomain
 from geneigopt.problems import (
     EIGENFREQUENCY,
     ROBUST_COMPLIANCE,
@@ -91,17 +91,32 @@ def test_psi_load_scaling_is_quadratic():
     assert abs(psi_exact(m2, x) - 4.0 * psi_exact(m1, x)) < 1e-10
 
 
-@pytest.mark.parametrize("objective", [
-    lambda model: psi_exact(model, [1.0, 1.0]),
-    lambda model: psi_eps(model, [1.0, 1.0], 1e-6),
-    lambda model: ProblemSpec(ROBUST_COMPLIANCE, model, FeasibleSet(
-        l=np.ones(2), v0=2.0)).objective_pencils(),
-], ids=["psi_exact", "psi_eps", "objective_pencils"])
-def test_overflowing_load_is_invalid_matrix(objective):
+@pytest.mark.parametrize("objective, error", [
+    pytest.param(lambda: psi_exact(robust_two_bar_model(1e200), [1.0, 1.0]),
+                 InvalidMatrix, id="psi_exact"),
+    pytest.param(lambda: psi_eps(robust_two_bar_model(1e200), [1.0, 1.0],
+                                 1e-6), InvalidMatrix, id="psi_eps"),
+    pytest.param(lambda: ProblemSpec(
+        ROBUST_COMPLIANCE, robust_two_bar_model(1e200),
+        FeasibleSet(l=np.ones(2), v0=2.0)).objective_pencils(),
+        InvalidMatrix, id="objective_pencils"),
+    # the design is checked as the solvers check it: a design outside the
+    # orthant is OutOfDomain, not "second matrix is not PSD", and an M(x)
+    # that overflows is InvalidMatrix
+    pytest.param(lambda: psi_exact(robust_two_bar_model(), [-1.0, 1.0]),
+                 OutOfDomain, id="psi_exact-negative_design"),
+    pytest.param(lambda: psi_eps(robust_two_bar_model(), [-1.0, 1.0], 1e-6),
+                 OutOfDomain, id="psi_eps-negative_design"),
+    pytest.param(lambda: phi_eps(demo_model_with_mass(), [math.nan, 1.0],
+                                 1e-6), OutOfDomain, id="phi_eps-nan_design"),
+    pytest.param(lambda: phi_exact(demo_model_with_mass(), [1e308, 1e308]),
+                 InvalidMatrix, id="phi_exact-overflowing_mass"),
+])
+def test_overflowing_load_is_invalid_matrix(objective, error):
     # QQ' overflows to +inf: a typed error, not numpy's RuntimeWarning
     # (pyproject.toml's filterwarnings makes that warning an error)
-    with pytest.raises(InvalidMatrix):
-        objective(robust_two_bar_model(load_scale=1e200))
+    with pytest.raises(error):
+        objective()
 
 
 # ------------------------------------------------------------- eigenfrequency

@@ -30,8 +30,11 @@ from oracles import dense_pencil, dense_stack, eigenfrequency_model
 
 
 REPO = Path(__file__).resolve().parents[1]
-CONFIGS = sorted((REPO / "examples-configs").glob("*.json")) + \
-    sorted((REPO / "bench" / "configs").glob("*.json"))
+#: The shipped configs, not the ``*.result.json`` that ``geneigopt solve``
+#: writes next to them.
+CONFIGS = [path for folder in ("examples-configs", "bench/configs")
+           for path in sorted((REPO / folder).glob("*.json"))
+           if not path.name.endswith(".result.json")]
 
 
 def count_bars_by_enumeration(nodes, tol=1e-9):
